@@ -3,13 +3,15 @@ and a separate traced run for the per-layer split.
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload zonotope --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload spencer --seed 1 --seconds 40 --trace 0
 
 `--workload all` (the default) runs every workload in one process.  One
-caller handles one instance at a time (closed loop, one client).  The
-package is imported from the checkout's `src/`; with `--trace 0` the
-last line of output is a JSON object with the end-to-end metrics, with
-`--trace 1` one with the per-layer metrics.  See perfbench/README.md.
+caller handles one instance at a time (closed loop, one client): each
+instance of the workload's pool once, then its first few instances over
+and over until the time is up.  The package is imported from the
+checkout's `src/`; with `--trace 0` the last line of output is a JSON
+object with the end-to-end metrics, with `--trace 1` one with the
+per-layer metrics.  See perfbench/README.md.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 OUT = HERE / "out"
 
-SETUP_REPS = 9      # set-up is repeated and its median reported
+SETUP_REPS = 3      # set-ups before the loop; one more follows each repeat pass
 WARMUP_D = 4        # one instance this small runs the call chain before timing
-DIGEST_COUNT = 6    # every run completes at least this many instances
-EXACT_FINISH_MAX = 8  # balance(exact_finish=True) enumerates once k <= 8
+MIN_PASSES = 3      # an untraced run times each timed instance at least this often
 ENDPOINT_MAX = 2      # partial_coloring enumerates endpoints once k <= 2
 
 # Every end-to-end metric with its unit.  All are printed; README.md says
@@ -86,9 +87,6 @@ PER_LAYER_UNITS = {
     "coloring.draws": "count/instance",
     "coloring.draw_accept_ratio": "ratio",
     "coloring.doubled_rounds": "count/instance",
-    "verify.oracle.s": "s/instance",
-    "verify.oracle.self_s": "s/instance",
-    "verify.oracle.evaluations": "count/instance",
     "verify.width.s": "s/instance",
     "lewis.position.s": "s/instance",
     "lewis.iterations": "count/instance",
@@ -111,22 +109,23 @@ def import_package():
 
 @dataclass
 class Loop:
-    """One pass of the closed loop over instances pool[0], pool[1], ..."""
+    """The closed loop: one pass over the whole pool, then repeat passes
+    over its first `timed` instances."""
 
-    outcomes: list = field(default_factory=list)   # Outcome, or the error raised
-    latencies: list = field(default_factory=list)  # seconds per instance
+    outcomes: list = field(default_factory=list)   # per pass: Outcome, or the error raised
+    latencies: list = field(default_factory=list)  # per pass: seconds per instance
     wall: float = 0.0
 
+    def best(self) -> list[float]:
+        """Each repeated instance's fastest pass (zip stops at the shortest
+        pass, so with repeat passes only the timed instances count)."""
+        return [min(times) for times in zip(*self.latencies)]
 
-def closed_loop(zb, w, pool, seconds=None, count=None, tracer=None) -> Loop:
-    """Run instances one after another until `seconds` have passed (and at
-    least DIGEST_COUNT are done), or exactly `count` of them."""
-    loop = Loop()
-    start = perf_counter()
-    i = 0
-    while (i < count) if count is not None else (
-            i < DIGEST_COUNT or perf_counter() - start < seconds):
-        inst = pool[i % len(pool)]
+
+def run_pass(zb, w, instances, tracer=None):
+    """Run instances one after another; their outcomes and latencies."""
+    outcomes, latencies = [], []
+    for i, inst in enumerate(instances):
         t0 = perf_counter()
         try:
             if tracer is None:
@@ -136,9 +135,29 @@ def closed_loop(zb, w, pool, seconds=None, count=None, tracer=None) -> Loop:
                     out = run_instance(zb, w, inst)
         except (zb.NumericalError, zb.InputError) as exc:
             out = exc
-        loop.latencies.append(perf_counter() - t0)
-        loop.outcomes.append(out)
-        i += 1
+        latencies.append(perf_counter() - t0)
+        outcomes.append(out)
+    return outcomes, latencies
+
+
+def closed_loop(zb, w, pool, seconds=0.0, min_passes=1, tracer=None, after_pass=None) -> Loop:
+    """Run the whole pool once, then its first `w.timed` instances in whole
+    repeat passes: until `min_passes` passes are done, and then as long as
+    another one fits in `seconds`, going by the slowest so far.
+    `after_pass`, if given, is called after every repeat pass."""
+    loop = Loop()
+    start = perf_counter()
+    outcomes, latencies = run_pass(zb, w, pool, tracer)
+    slowest = sum(latencies[:w.timed])
+    while True:
+        loop.outcomes.append(outcomes)
+        loop.latencies.append(latencies)
+        if len(loop.outcomes) >= min_passes and perf_counter() - start + slowest > seconds:
+            break
+        outcomes, latencies = run_pass(zb, w, pool[:w.timed])
+        slowest = max(slowest, sum(latencies))
+        if after_pass is not None:
+            after_pass()
     loop.wall = perf_counter() - start
     return loop
 
@@ -170,41 +189,55 @@ class Measured:
     tracer: object = None
 
 
+def set_up(w, seed: int):
+    """One set-up: a fresh import of the package and the instance pool."""
+    t0 = perf_counter()
+    zb, seeding = import_package()
+    pool = [make_instance(zb, seeding, w, seed, i) for i in range(w.pool)]
+    return perf_counter() - t0, zb, seeding, pool
+
+
 def measure(w, seed: int, seconds: float, trace: bool) -> Measured:
-    """Set-up (repeated) and the timed loop; no checks yet, so that the
-    checker's scipy import does not count towards peak memory."""
+    """Set-up and the timed loop; no checks yet, so that the checker's
+    scipy import does not count towards peak memory.
+
+    Set-up runs SETUP_REPS times before the loop and, untraced, once
+    more after every repeat pass, so that its median spans the whole run.
+    The loop uses the package and pool of the last set-up before it.  A
+    traced run makes one untraced and then one traced pass over the pool.
+    """
     setup = []
     for _ in range(SETUP_REPS):
-        t0 = perf_counter()
-        zb, seeding = import_package()
-        pool = [make_instance(zb, seeding, w, seed, i) for i in range(w.pool)]
-        setup.append(perf_counter() - t0)
+        elapsed, zb, seeding, pool = set_up(w, seed)
+        setup.append(elapsed)
     # Pay first-call costs (lazy imports, allocator growth) outside the timing.
     run_instance(zb, w, make_instance(zb, seeding, replace(w, dims=(WARMUP_D,)), seed, -1))
-    # A traced run spends half the time untraced, then the same instances traced.
-    loop = closed_loop(zb, w, pool, seconds=seconds / 2 if trace else seconds)
+    if trace:
+        loop = closed_loop(zb, w, pool)
+    else:
+        loop = closed_loop(zb, w, pool, seconds=seconds, min_passes=MIN_PASSES,
+                           after_pass=lambda: setup.append(set_up(w, seed)[0]))
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     m = Measured(w, zb, pool, statistics.median(setup), loop, peak)
     if trace:
         m.tracer = tracing.Tracer()
         m.tracer.install()
         try:
-            m.traced = closed_loop(zb, w, pool, count=len(loop.outcomes), tracer=m.tracer)
+            m.traced = closed_loop(zb, w, pool, tracer=m.tracer)
         finally:
             m.tracer.uninstall()
     return m
 
 
-def coloring_metrics(w, outcomes, c0: float) -> dict[str, float]:
+def coloring_metrics(outcomes, c0: float) -> dict[str, float]:
     """Draw counts from the public BalanceReport.log, per instance."""
-    draw_max = EXACT_FINISH_MAX if w.calls == "oracle" else ENDPOINT_MAX
     draws = accepted = doubled = 0
     for out in outcomes:
         report = getattr(out, "report", None)
         if report is None:
             continue
         for rec in report.log:
-            if rec.n_active > draw_max:
+            if rec.n_active > ENDPOINT_MAX:
                 draws += rec.attempts
                 accepted += 1
             doubled += rec.c_used > c0
@@ -215,38 +248,45 @@ def coloring_metrics(w, outcomes, c0: float) -> dict[str, float]:
 
 
 def finish(m: Measured, seed: int, trace: bool) -> dict:
-    """Check every output and derive the metrics of one workload."""
+    """Check every output and derive the metrics of one workload.
+
+    The first pass's output of each pool instance is checked; every later
+    pass, traced or not, must reproduce the first pass's outputs exactly.
+    """
     zb, w, loop = m.zb, m.w, m.loop
+    first = loop.outcomes[0]
     failures, bad = [], set()
-    for i, out in enumerate(loop.outcomes):
-        inst = m.pool[i % len(m.pool)]
+    for i, (inst, out) in enumerate(zip(m.pool, first)):
         found = [f"raised {out!r}"] if isinstance(out, Exception) else check(zb, w, inst, out)
         if found:
             bad.add(i)
             failures += [f"{w.name} instance {i}: {f}" for f in found]
-    result = {"attempted": len(loop.outcomes), "failed": len(bad),
-              "digest": digest(zb, w, loop.outcomes[:DIGEST_COUNT]),
-              "failures": failures, "digests_match": True}
-    good = [(m.pool[i % len(m.pool)], o) for i, o in enumerate(loop.outcomes) if i not in bad]
+    passes = loop.outcomes + (m.traced.outcomes if trace else [])
+    result = {"attempted": sum(map(len, passes)),
+              "failed": sum(i in bad for outs in passes for i in range(len(outs))),
+              "passes": len(passes), "digest": digest(zb, w, first), "failures": failures}
+    result["repeats_match"] = all(digest(zb, w, outs) == digest(zb, w, first[:len(outs)])
+                                  for outs in passes[1:])
+    good = [(inst, out) for i, (inst, out) in enumerate(zip(m.pool, first)) if i not in bad]
 
     if not trace:
-        pct, tail_s = tail(loop.latencies)
-        result["tail"] = (pct, len(loop.latencies))
+        pool_latencies = loop.latencies[0]
+        pct, tail_s = tail(pool_latencies)
+        result["tail"] = (pct, len(pool_latencies))
         result["metrics"] = {
             "setup_s": m.setup_s,
-            "instances_per_s": sum(not isinstance(o, Exception) for o in loop.outcomes) / loop.wall,
-            "latency_p50_ms": 1e3 * statistics.median(loop.latencies),
+            "instances_per_s": sum(i not in bad for i in range(w.timed)) / sum(loop.best()),
+            "latency_p50_ms": 1e3 * statistics.median(pool_latencies),
             "latency_tail_ms": 1e3 * tail_s,
-            "failed_frac": len(bad) / len(loop.outcomes),
+            "failed_frac": len(bad) / len(m.pool),
             "ratio_mean": statistics.fmean(quality_ratio(i, o) for i, o in good) if good else 0.0,
             "peak_rss_mb": m.peak_rss_mb,
         }
         return result
 
     traced = m.traced
-    result["digests_match"] = digest(zb, w, traced.outcomes) == digest(zb, w, loop.outcomes)
-    metrics = tracing.span_metrics(m.tracer, len(traced.outcomes))
-    metrics.update(coloring_metrics(w, traced.outcomes, zb.coloring.DEFAULT_C0))
+    metrics = tracing.span_metrics(m.tracer, len(m.pool))
+    metrics.update(coloring_metrics(first, zb.coloring.DEFAULT_C0))
     metrics["trace.overhead_frac"] = traced.wall / loop.wall - 1.0
     result["metrics"] = {k: metrics[k] for k in PER_LAYER_UNITS}
     OUT.mkdir(exist_ok=True)
@@ -265,7 +305,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="all", choices=["all", *WORKLOADS])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (SRC / "zonobalance" / "__init__.py").is_file():
@@ -290,14 +330,13 @@ def main(argv=None) -> int:
             if key == "latency_tail_ms":
                 note = f" (p{res['tail'][0]:.1f} of {res['tail'][1]} samples)"
             print(f"{name} {key} {value!r} {units[key]}{note}")
-        print(f"{name} digest {res['digest']} (first {DIGEST_COUNT} instances)")
-        if trace:
-            print(f"{name} traced_digest_matches_untraced {res['digests_match']}")
+        print(f"{name} digest {res['digest']} ({WORKLOADS[name].pool} instances)")
+        print(f"{name} passes {res['passes']} repeats_match_first_pass {res['repeats_match']}")
         prefix = "" if len(names) == 1 else name + "."
         metrics.update({prefix + k: {"value": res["metrics"][k], "unit": units[k]}
                         for k in reported})
     line = {
-        "correct": all(not r["failures"] and r["digests_match"] for r in results),
+        "correct": all(not r["failures"] and r["repeats_match"] for r in results),
         "attempted": sum(r["attempted"] for r in results),
         "failed": sum(r["failed"] for r in results),
         "metrics": metrics,

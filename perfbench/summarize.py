@@ -1,11 +1,11 @@
 """Run the benchmark once per seed and summarise each metric.
 
-    python3 perfbench/summarize.py --workloads zonotope,spencer --seeds 1-10 --seconds 30
+    python3 perfbench/summarize.py --workloads spencer,probes --seeds 1-10 --seconds 40
 
 For every workload and metric it prints the median, the quartiles (as
 statistics.quantiles(values, n=4) gives them), the spread (Q3 - Q1) /
-median, and the sample count.  `--out FILE` also writes the summary as
-JSON.  Runs are sequential, from the repository root.
+median, and the sample count.  `--out FILE` also writes the summary, with
+each run's value, as JSON.  Runs are sequential, from the repository root.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ def summarize(values: list[float]) -> dict:
     med = statistics.median(values)
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (med, med, med)
     return {"median": med, "q1": q1, "q3": q3,
-            "spread": (q3 - q1) / med if med else 0.0, "runs": len(values)}
+            "spread": (q3 - q1) / med if med else 0.0, "runs": len(values), "values": values}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", required=True)
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)

@@ -17,8 +17,8 @@ import tracer as tracing
 from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
-TINY_DIMS = {"zonotope": (6,), "spencer": (4, 6, 8), "oracle": (5,), "probes": (4,)}
-TINY = {name: replace(w, dims=TINY_DIMS[name], pool=4) for name, w in WORKLOADS.items()}
+TINY_DIMS = {"spencer": (4, 6, 8), "probes": (4,)}
+TINY = {name: replace(w, dims=TINY_DIMS[name], pool=4, timed=2) for name, w in WORKLOADS.items()}
 
 
 @pytest.fixture
@@ -49,9 +49,14 @@ def test_benchmark_json_matches_the_code():
 def test_every_metric_printed_with_unit_and_digests_agree(tiny, capsys):
     plain, plain_result = _run(capsys, 0)
     traced, traced_result = _run(capsys, 1)
-    for result in (plain_result, traced_result):
+    # With no time to fill, an untraced run makes one pass over each pool and
+    # MIN_PASSES - 1 over its timed instances; a traced run one untraced and
+    # one traced pass over the pool.
+    plain_attempted = sum(w.pool + (run.MIN_PASSES - 1) * w.timed for w in TINY.values())
+    traced_attempted = sum(2 * w.pool for w in TINY.values())
+    for result, attempted in ((plain_result, plain_attempted), (traced_result, traced_attempted)):
         assert result["correct"] and result["failed"] == 0
-        assert result["attempted"] == len(TINY) * run.DIGEST_COUNT
+        assert result["attempted"] == attempted
     for name in TINY:
         for metric, unit in [*run.E2E_UNITS.items()]:
             assert any(line.startswith(f"{name} {metric} ") and f" {unit}" in line
@@ -59,7 +64,8 @@ def test_every_metric_printed_with_unit_and_digests_agree(tiny, capsys):
         for metric, unit in run.PER_LAYER_UNITS.items():
             assert any(line.startswith(f"{name} {metric} ") and line.split()[3] == unit
                        for line in traced), (name, metric)
-        assert f"{name} traced_digest_matches_untraced True" in traced
+        assert f"{name} passes {run.MIN_PASSES} repeats_match_first_pass True" in plain
+        assert f"{name} passes 2 repeats_match_first_pass True" in traced
         digests = [line for line in plain + traced if line.startswith(f"{name} digest ")]
         assert len(digests) == 2 and digests[0] == digests[1]
     assert set(plain_result["metrics"]) == {f"{n}.{m}" for n in TINY for m in run.E2E_RESULT}

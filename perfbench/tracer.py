@@ -32,8 +32,6 @@ LAYERS = (
     ("zonotope", "zonotope_norm", "zonotope.norm", None),
     ("coloring", "balance", "coloring.balance", None),
     ("coloring", "partial_coloring", "coloring.partial", _partial_k),
-    ("verify", "brute_force_min_discrepancy", "verify.oracle",
-     lambda a, k, r: r.evaluations),
     ("verify", "width_estimate", "verify.width", None),
     ("lewis", "lewis_position", "lewis.position", lambda a, k, r: r.iterations),
 )
@@ -171,10 +169,6 @@ def span_metrics(tracer: Tracer, instances: int) -> dict[str, float]:
     out["coloring.endpoint.calls"] = per(endpoint.sum())
     out["coloring.endpoint.s"] = per(dur[endpoint].sum())
 
-    oracle = pick("verify.oracle")
-    out["verify.oracle.s"] = per(dur[oracle].sum())
-    out["verify.oracle.self_s"] = per(own[oracle].sum())
-    out["verify.oracle.evaluations"] = per(np.nansum(notes[oracle]))
     out["verify.width.s"] = per(dur[pick("verify.width")].sum())
 
     lewis = pick("lewis.position")
