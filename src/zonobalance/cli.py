@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coloring, lewis, verify
+from .convex import TOL_FEAS
 from .errors import InputError, NumericalError
 from .instancefile import KINDS, InstanceFile, generate_instance, parse_instance, serialize_instance
 from .seeding import run_seed
@@ -26,27 +27,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    c0: float = coloring.DEFAULT_C0
-    retries: int = coloring.DEFAULT_RETRIES
-    tol_feas: float | None = None
-    tol_lewis: float | None = None
-    rescale: bool = False
-    exact_finish: bool = False
-    out: str | None = None
-    format: str = "text"
-
-    def lines(self) -> list[str]:
-        # seed and c0 appear in the report body already
-        return [
-            f"retries: {self.retries}",
-            f"rescale: {self.rescale}",
-            f"exact_finish: {self.exact_finish}",
-        ]
 
 
 def _read_instance(path: str) -> InstanceFile:
@@ -69,40 +49,13 @@ def _write(text: str, out: str | None):
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _prepared(inst: InstanceFile, cfg: RunConfig):
-    kwargs = {"rescale": cfg.rescale}
-    if cfg.tol_feas is not None:
-        kwargs["tol_feas"] = cfg.tol_feas
-    Z, V, change = preprocess(inst.A, inst.V, inst.U, **kwargs)
-    return Z, V, change
+def _prepared(inst: InstanceFile, rescale: bool = False, tol_feas: float = TOL_FEAS):
+    return preprocess(inst.A, inst.V, inst.U, rescale=rescale, tol_feas=tol_feas)
 
 
 def _add_instance_arg(p: argparse.ArgumentParser):
     p.add_argument("instance", nargs="?", default="-",
                    help="instance file path, or - for stdin (default)")
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c0", type=float, default=coloring.DEFAULT_C0)
-    p.add_argument("--retries", type=int, default=coloring.DEFAULT_RETRIES)
-    p.add_argument("--tol-feas", type=float, default=None)
-    p.add_argument("--tol-lewis", type=float, default=None)
-    p.add_argument("--rescale", action="store_true",
-                   help="rescale vectors slightly outside the body instead of rejecting")
-    p.add_argument("--exact-finish", action="store_true",
-                   help="finish by exhaustive search once at most 8 coordinates remain")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed, c0=args.c0, retries=args.retries,
-        tol_feas=args.tol_feas, tol_lewis=args.tol_lewis,
-        rescale=args.rescale, exact_finish=args.exact_finish,
-        out=args.out, format=args.format,
-    )
 
 
 def build_parser() -> _Parser:
@@ -120,7 +73,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("balance", help="compute balancing signs")
     _add_instance_arg(p)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--c0", type=float, default=coloring.DEFAULT_C0)
+    p.add_argument("--retries", type=int, default=coloring.DEFAULT_RETRIES)
+    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
+    p.add_argument("--rescale", action="store_true",
+                   help="rescale vectors slightly outside the body instead of rejecting")
+    p.add_argument("--exact-finish", action="store_true",
+                   help="finish by exhaustive search once at most 8 coordinates remain")
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--oracle", action="store_true",
                    help="also run the exhaustive oracle (small n only)")
 
@@ -128,12 +90,12 @@ def build_parser() -> _Parser:
     _add_instance_arg(p)
     p.add_argument("--x", required=True, help="vector entries, space separated")
     p.add_argument("--rescale", action="store_true")
-    p.add_argument("--tol-feas", type=float, default=None)
+    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("lewis", help="Lewis weights and transform of the generators")
     _add_instance_arg(p)
-    p.add_argument("--tol-lewis", type=float, default=None)
+    p.add_argument("--tol-lewis", type=float, default=lewis.TOL_LEWIS)
     p.add_argument("--max-iter", type=int, default=lewis.MAX_ITER_LEWIS)
     p.add_argument("--out", default=None)
 
@@ -152,7 +114,7 @@ def build_parser() -> _Parser:
     _add_instance_arg(p)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-lewis", type=float, default=None)
+    p.add_argument("--tol-lewis", type=float, default=lewis.TOL_LEWIS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bench", help="sweep a grid of instances, one CSV row per run")
@@ -178,26 +140,27 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    cfg = _config_from(args)
     inst = _read_instance(args.instance)
-    Z, V, _ = _prepared(inst, cfg)
-    report = coloring.balance(Z, V, c0=cfg.c0, seed=cfg.seed,
-                              retries=cfg.retries, exact_finish=cfg.exact_finish)
+    Z, V, _ = _prepared(inst, args.rescale, args.tol_feas)
+    report = coloring.balance(Z, V, c0=args.c0, seed=args.seed,
+                              retries=args.retries, exact_finish=args.exact_finish)
     oracle = verify.brute_force_min_discrepancy(Z, V) if args.oracle else None
     kind = "stdin" if args.instance == "-" else args.instance
-    if cfg.format == "csv":
+    if args.format == "csv":
         text = verify.csv_header() + "\n" + verify.csv_row(
             kind, report, None if oracle is None else oracle.opt)
     else:
-        lines = [f"instance: {kind}"] + cfg.lines()
-        lines.append(verify.bound_report(report, oracle))
+        # seed and c0 appear in the report body already
+        lines = [f"instance: {kind}", f"retries: {args.retries}",
+                 f"rescale: {args.rescale}", f"exact_finish: {args.exact_finish}",
+                 verify.bound_report(report, oracle)]
         for r in report.log:
             lines.append(
                 f"round {r.index}: n_active={r.n_active} tight={r.tight_gained} "
                 f"increment={r.increment!r} scale={r.scale_used!r} "
                 f"c={r.c_used!r} attempts={r.attempts}")
         text = "\n".join(lines)
-    _write(text, cfg.out)
+    _write(text, args.out)
     return 0
 
 
@@ -207,8 +170,7 @@ def _cmd_norm(args) -> int:
         x = np.array([float(t) for t in args.x.split()])
     except ValueError:
         raise InputError(f"--x must be a space-separated vector, got {args.x!r}")
-    cfg = RunConfig(rescale=args.rescale, tol_feas=args.tol_feas)
-    Z, _, change = _prepared(inst, cfg)
+    Z, _, change = _prepared(inst, args.rescale, args.tol_feas)
     if x.shape[0] != change.original_d:
         raise InputError(
             f"--x has dimension {x.shape[0]}, instance has {change.original_d}")
@@ -225,9 +187,8 @@ def _cmd_lewis(args) -> int:
     inst = _read_instance(args.instance)
     # The vectors are irrelevant here; preprocess with rescale so only a
     # genuinely broken generator set can reject the instance.
-    Z, _, _ = _prepared(inst, RunConfig(rescale=True))
-    tol = args.tol_lewis if args.tol_lewis is not None else lewis.TOL_LEWIS
-    LP = lewis.lewis_position(Z.A, tol_lewis=tol, max_iter=args.max_iter)
+    Z, _, _ = _prepared(inst, rescale=True)
+    LP = lewis.lewis_position(Z.A, tol_lewis=args.tol_lewis, max_iter=args.max_iter)
     lines = [
         "weights: " + " ".join(repr(float(w)) for w in LP.w),
         f"sum_weights: {float(LP.w.sum())!r}",
@@ -240,8 +201,7 @@ def _cmd_lewis(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = _read_instance(args.instance)
-    cfg = RunConfig(rescale=args.rescale)
-    Z, V, _ = _prepared(inst, cfg)
+    Z, V, _ = _prepared(inst, args.rescale)
     res = verify.brute_force_min_discrepancy(Z, V)
     lines = [
         f"opt: {res.opt!r}",
@@ -254,7 +214,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     inst = _read_instance(args.instance)
-    Z, V, _ = _prepared(inst, RunConfig())
+    Z, V, _ = _prepared(inst)
     V = ensure_preimages(Z, V)
     rng = np.random.default_rng(args.seed)
     max_gap = 0.0
@@ -269,9 +229,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_width(args) -> int:
     inst = _read_instance(args.instance)
-    Z, _, _ = _prepared(inst, RunConfig(rescale=True))
-    tol = args.tol_lewis if args.tol_lewis is not None else lewis.TOL_LEWIS
-    LP = lewis.lewis_position(Z.A, tol_lewis=tol)
+    Z, _, _ = _prepared(inst, rescale=True)
+    LP = lewis.lewis_position(Z.A, tol_lewis=args.tol_lewis)
     est = verify.width_estimate(LP, args.samples, np.random.default_rng(args.seed))
     _write(
         f"mean: {est.mean!r}\nstderr: {est.stderr!r}\n"
@@ -329,14 +288,6 @@ def execute_spec(spec: BenchSpec, c0: float = coloring.DEFAULT_C0,
     return verify.csv_row(spec.kind, report, opt), report, Z, V
 
 
-def bench_rows(kinds: list[str], d_list: list[int], seeds: int, master_seed: int,
-               c0: float, retries: int, m_factor: int, oracle_upto: int):
-    """Deterministic benchmark sweep; yields CSV rows in run-index order."""
-    for spec in bench_specs(kinds, d_list, seeds, master_seed, m_factor):
-        row, report, _, _ = execute_spec(spec, c0, retries, oracle_upto)
-        yield row, report
-
-
 def _cmd_bench(args) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     for k in kinds:
@@ -352,10 +303,8 @@ def _cmd_bench(args) -> int:
         f"m_factor={args.m_factor} oracle_upto={args.oracle_upto}",
         verify.csv_header(),
     ]
-    for row, _ in bench_rows(kinds, d_list, args.seeds, args.master_seed,
-                             args.c0, args.retries, args.m_factor,
-                             args.oracle_upto):
-        lines.append(row)
+    for spec in bench_specs(kinds, d_list, args.seeds, args.master_seed, args.m_factor):
+        lines.append(execute_spec(spec, args.c0, args.retries, args.oracle_upto)[0])
     _write("\n".join(lines), args.out)
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +72,15 @@ class CoordinateBodyLift:
         return lp_solve(np.zeros(num), pinned).is_optimal
 
 
+def _lift(Z: Zonotope, V_S: np.ndarray, a_lower, a_upper, s: float) -> Polyhedron:
+    """{(a, u) : sum_i a_i v_i = A^T u, a_lower <= a <= a_upper, |u_j| <= s}."""
+    k, m = V_S.shape[0], Z.m
+    E = np.hstack([V_S.T, -Z.A.T])  # d rows, k+m columns
+    lower = np.concatenate([a_lower, np.full(m, -s)])
+    upper = np.concatenate([a_upper, np.full(m, s)])
+    return Polyhedron(k + m, E, np.zeros(Z.d), lower, upper)
+
+
 def build_coordinate_body(Z: Zonotope, V: VectorFamily, S, s: float) -> CoordinateBodyLift:
     """Lift of s * K_S over variables (a, u) for the index set S."""
     S = tuple(sorted(int(i) for i in S))
@@ -80,11 +89,8 @@ def build_coordinate_body(Z: Zonotope, V: VectorFamily, S, s: float) -> Coordina
     if s <= 0:
         raise InputError("scale must be positive")
     V_S = V.V[list(S)]
-    k, d, m = len(S), Z.d, Z.m
-    E = np.hstack([V_S.T, -Z.A.T])  # d rows, k+m columns
-    lower = np.concatenate([np.full(k, -np.inf), np.full(m, -s)])
-    upper = np.concatenate([np.full(k, np.inf), np.full(m, s)])
-    P = Polyhedron(k + m, E, np.zeros(d), lower, upper)
+    k = len(S)
+    P = _lift(Z, V_S, np.full(k, -np.inf), np.full(k, np.inf), s)
     return CoordinateBodyLift(S=S, scale=float(s), polyhedron=P, V_S=V_S)
 
 
@@ -98,36 +104,49 @@ class PartialColoringStep:
     tight_gained: int
 
 
-def _increment_norm(Z: Zonotope, V_rows: np.ndarray, delta: np.ndarray) -> float:
-    """||sum_i delta_i v_i||_Z recomputed from scratch."""
-    return zonotope_norm(Z, V_rows.T @ delta).value
+def _doubled_scales(k: int, d: int, c0: float, failure):
+    """Yield (c, round_scale(k, d, c)) for c = c0, 2 c0, ..., 2^MAX_DOUBLINGS c0,
+    then raise NumericalError with the message `failure()` returns, with
+    the cap appended."""
+    c = c0
+    for _ in range(MAX_DOUBLINGS + 1):
+        yield c, round_scale(k, d, c)
+        c *= 2.0
+    raise NumericalError(f"{failure()}; c0 = {c0!r} doubled {MAX_DOUBLINGS} times")
 
 
-def _endpoint_enumeration(Z: Zonotope, V: VectorFamily, y: np.ndarray,
-                          c0: float, d: int) -> PartialColoringStep:
-    """Exact small-k branch: try every completion fixing at least half."""
+def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
+                      offset: np.ndarray | None = None) -> PartialColoringStep:
+    """Exact round: try every completion of y and keep the first best one.
+
+    Without `offset` (the k <= 2 endpoint of a partial coloring) a
+    completion fixes at least half the coordinates and the smallest
+    increment wins; with it (the exact finish of `balance`) every
+    coordinate becomes a sign and the smallest ||offset + sum_i x_i v_i||
+    wins.  The scale doubles from c0 until it covers the increment.
+    """
     k = y.shape[0]
-    need = (k + 1) // 2
+    if offset is None:
+        choices, need = (1.0, -1.0, None), (k + 1) // 2
+    else:
+        choices, need = (-1.0, 1.0), k
     best = None
-    for pattern in itertools.product((1.0, -1.0, None), repeat=k):
+    for pattern in itertools.product(choices, repeat=k):
         fixed = sum(1 for p in pattern if p is not None)
         if fixed < need:
             continue
         y_new = np.array([y[i] if pattern[i] is None else pattern[i] for i in range(k)])
-        inc = _increment_norm(Z, V.V, y - y_new)
-        if best is None or inc < best[0]:
-            best = (inc, y_new, fixed)
-    inc, y_new, fixed = best
-    c = c0
-    doublings = 0
-    while inc > round_scale(k, d, c):
-        c *= 2.0
-        doublings += 1
-        if doublings > MAX_DOUBLINGS:
-            raise NumericalError("endpoint enumeration cannot cover its increment")
-    return PartialColoringStep(y_new=y_new, increment=inc,
-                               scale_used=round_scale(k, d, c), c_used=c,
-                               attempts=1, tight_gained=fixed)
+        target = V.V.T @ (y - y_new) if offset is None else offset + V.V.T @ y_new
+        val = zonotope_norm(Z, target).value
+        if best is None or val < best[0]:
+            best = (val, y_new, fixed)
+    val, y_new, fixed = best
+    inc = val if offset is None else zonotope_norm(Z, V.V.T @ (y - y_new)).value
+    scales = _doubled_scales(k, Z.d, c0, lambda: f"increment {inc!r} exceeds every round scale")
+    for c, s in scales:
+        if inc <= s:
+            return PartialColoringStep(y_new=y_new, increment=inc, scale_used=s,
+                                       c_used=c, attempts=1, tight_gained=fixed)
 
 
 def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
@@ -140,7 +159,8 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
     the accepted scale.  The scale starts at c0 * sqrt(k log2(2d/k)) and
     doubles after every `retries` failed Gaussian draws; a draw fails
     when fewer than half the coordinates clamp or the movement exceeds
-    the scale.
+    the scale.  At most two active coordinates are colored by exact
+    enumeration instead.
     """
     y = np.asarray(y, dtype=float)
     k = y.shape[0]
@@ -152,24 +172,18 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
         raise InputError("active coordinates must be strictly inside (-1, 1)")
     if rng is None:
         rng = np.random.default_rng()
-    d = Z.d
 
     if k <= 2:
-        return _endpoint_enumeration(Z, V, y, c0, d)
+        return _enumeration_step(Z, V, y, c0)
 
     need = (k + 1) // 2
-    c = c0
     attempts = 0
-    doublings = 0
     best_count = 0
-    while doublings <= MAX_DOUBLINGS:
-        s = round_scale(k, d, c)
-        lift = build_coordinate_body(Z, V, range(k), s)
-        lower = lift.polyhedron.lower.copy()
-        upper = lift.polyhedron.upper.copy()
-        lower[:k] = -1.0 - y
-        upper[:k] = 1.0 - y
-        P = Polyhedron(k + Z.m, lift.polyhedron.E, lift.polyhedron.e, lower, upper)
+    scales = _doubled_scales(k, Z.d, c0, lambda: (
+        f"partial coloring failed after {attempts} draws "
+        f"(best tight count {best_count} of {need} needed)"))
+    for c, s in scales:
+        P = _lift(Z, V.V, -1.0 - y, 1.0 - y, s)
         for _ in range(retries):
             attempts += 1
             g = GAUSSIAN_SCALE * rng.standard_normal(k)
@@ -185,18 +199,12 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
                 continue
             y_new[tight] = np.sign(y_new[tight])
             np.clip(y_new, -1.0, 1.0, out=y_new)
-            inc = _increment_norm(Z, V.V, y - y_new)
+            inc = zonotope_norm(Z, V.V.T @ (y - y_new)).value
             if inc > s:
                 continue
             return PartialColoringStep(y_new=y_new, increment=inc, scale_used=s,
                                        c_used=c, attempts=attempts,
                                        tight_gained=count)
-        c *= 2.0
-        doublings += 1
-    raise NumericalError(
-        f"partial coloring failed after {attempts} draws "
-        f"(best tight count {best_count} of {need} needed)"
-    )
 
 
 @dataclass(frozen=True)
@@ -208,26 +216,6 @@ class RoundRecord:
     attempts: int
     tight_gained: int
     increment: float
-
-
-@dataclass
-class ColoringState:
-    """Mutable driver state: the fractional point, the open coordinates,
-    and the per-round history."""
-
-    y: np.ndarray
-    active: np.ndarray
-    round_index: int = 0
-    log: list[RoundRecord] = field(default_factory=list)
-
-    def record(self, rec: RoundRecord):
-        self.log.append(rec)
-        self.round_index += 1
-
-    def check_invariants(self):
-        assert np.all(np.abs(self.y) <= 1.0)
-        inactive = np.setdiff1d(np.arange(self.y.shape[0]), self.active)
-        assert np.all(np.abs(self.y[inactive]) == 1.0)
 
 
 @dataclass(frozen=True)
@@ -250,20 +238,6 @@ class BalanceReport:
         return [r.increment for r in self.log]
 
 
-def _exact_finish(Z: Zonotope, V: VectorFamily, y: np.ndarray,
-                  active: np.ndarray) -> np.ndarray:
-    """Enumerate all sign completions of the active block, minimizing the
-    total discrepancy around the already-fixed part."""
-    fixed_sum = V.V.T @ y - V.V[active].T @ y[active]
-    best_val, best = None, None
-    for pattern in itertools.product((-1.0, 1.0), repeat=active.size):
-        x_act = np.array(pattern)
-        val = zonotope_norm(Z, fixed_sum + V.V[active].T @ x_act).value
-        if best_val is None or val < best_val:
-            best_val, best = val, x_act
-    return best
-
-
 def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
             seed: int = 0, retries: int = DEFAULT_RETRIES,
             exact_finish: bool = False) -> BalanceReport:
@@ -277,45 +251,41 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
     n, d = V.n, Z.d
     if n > d:
         raise InputError("instance must be preprocessed (requires n <= d)")
+    if not (c0 > 0.0 and math.isfinite(c0)):
+        raise InputError(f"c0 must be positive and finite, got {c0!r}")
+    if retries < 1:
+        raise InputError(f"retries must be at least 1, got {retries}")
     rng = np.random.default_rng(seed)
-    state = ColoringState(y=np.zeros(n), active=np.arange(n))
+    y = np.zeros(n)
+    active = np.arange(n)
+    log: list[RoundRecord] = []
     c_final = c0
-    while state.active.size:
-        active = state.active
+    while active.size:
         k = active.size
         if exact_finish and k <= 8:
-            x_act = _exact_finish(Z, V, state.y, active)
-            inc = _increment_norm(Z, V.V[active], state.y[active] - x_act)
-            c = c0
-            while inc > round_scale(k, d, c):
-                c *= 2.0
-            state.y[active] = x_act
-            state.active = np.array([], dtype=int)
-            state.record(RoundRecord(index=state.round_index, n_active=k,
-                                     scale_used=round_scale(k, d, c), c_used=c,
-                                     attempts=1, tight_gained=k, increment=inc))
-            c_final = max(c_final, c)
-            break
-        step = partial_coloring(Z, V.restrict(active), state.y[active],
-                                c0=c0, retries=retries, rng=rng)
-        state.y[active] = step.y_new
-        remaining = active[np.abs(state.y[active]) < 1.0]
-        if remaining.size > k - (k + 1) // 2:
+            offset = V.V.T @ y - V.V[active].T @ y[active]
+            step = _enumeration_step(Z, V.restrict(active), y[active], c0, offset)
+        else:
+            step = partial_coloring(Z, V.restrict(active), y[active],
+                                    c0=c0, retries=retries, rng=rng)
+        # Written so that NaN fails the check too.
+        if not np.all(np.abs(step.y_new) <= 1.0):
+            raise NumericalError("a coloring round left the sign cube")
+        y[active] = step.y_new
+        active = active[np.abs(step.y_new) < 1.0]
+        if active.size > k - (k + 1) // 2:
             raise NumericalError("partial coloring fixed fewer than half the coordinates")
-        state.active = remaining
-        state.record(RoundRecord(index=state.round_index, n_active=k,
-                                 scale_used=step.scale_used, c_used=step.c_used,
-                                 attempts=step.attempts,
-                                 tight_gained=step.tight_gained,
-                                 increment=step.increment))
-        state.check_invariants()
+        log.append(RoundRecord(index=len(log), n_active=k,
+                               scale_used=step.scale_used, c_used=step.c_used,
+                               attempts=step.attempts,
+                               tight_gained=step.tight_gained,
+                               increment=step.increment))
         c_final = max(c_final, step.c_used)
 
-    signs = state.y
-    discrepancy = zonotope_norm(Z, V.V.T @ signs).value
+    discrepancy = zonotope_norm(Z, V.V.T @ y).value
     bound = math.sqrt(n * math.log2(2.0 * d / n))
     return BalanceReport(
-        signs=signs.astype(int), discrepancy=discrepancy, bound=bound,
-        ratio=discrepancy / bound, rounds=len(state.log), seed=seed, c0=c0,
-        c_final=c_final, log=tuple(state.log), n=n, d=d, m=Z.m,
+        signs=y.astype(int), discrepancy=discrepancy, bound=bound,
+        ratio=discrepancy / bound, rounds=len(log), seed=seed, c0=c0,
+        c_final=c_final, log=tuple(log), n=n, d=d, m=Z.m,
     )

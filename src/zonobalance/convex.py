@@ -8,6 +8,11 @@ fallback after a fixed pivot budget, so every solve is deterministic);
 the projection solver is a primal active-set method on the same
 representation.  Problem sizes stay in the low thousands of variables,
 so dense linear algebra is adequate.
+
+Every optimal LP point is checked against its bounds after the final
+refactorization.  When the rank-1 tableau updates have drifted far
+enough to break a bound, the LP is solved again with a refactorization
+at every pivot, and NumericalError is raised only if that fails too.
 """
 
 from __future__ import annotations
@@ -105,8 +110,7 @@ class _Simplex:
 
     REFACTOR_EVERY = 128
 
-    def __init__(self, P: Polyhedron, c: np.ndarray,
-                 dantzig_limit: int | None, max_iter: int | None):
+    def __init__(self, P: Polyhedron, c: np.ndarray, refactor_every: int = REFACTOR_EVERY):
         meq, n = P.num_eq, P.num_vars
         self.n_orig = n
         self.meq = meq
@@ -115,12 +119,10 @@ class _Simplex:
         self.upper = np.concatenate([P.upper, np.full(meq, np.inf)])
         self.e = P.e.astype(float, copy=True)
         self.ntot = n + meq
-        self.dantzig_limit = (
-            dantzig_limit if dantzig_limit is not None else 20 * self.ntot + 200
-        )
-        self.max_iter = (
-            max_iter if max_iter is not None else 200 * self.ntot + 5000
-        )
+        self.refactor_every = refactor_every
+        # Dantzig pricing for this many pivots per phase, then Bland's rule.
+        self.dantzig_limit = 20 * self.ntot + 200
+        self.max_iter = 200 * self.ntot + 5000
         self.scale_e = 1.0 + (np.max(np.abs(self.e)) if meq else 0.0)
         self.feas_tol = TOL_FEAS * self.scale_e
 
@@ -275,7 +277,7 @@ class _Simplex:
                 self.basis[p] = j
                 self.status[j] = _BASIC
                 self.since_refactor += 1
-                if self.since_refactor >= self.REFACTOR_EVERY:
+                if self.since_refactor >= self.refactor_every:
                     self._refactor()
             self.pivots += 1
             phase_pivots += 1
@@ -311,12 +313,17 @@ class _Simplex:
                 "solution failed the feasibility check",
                 residual=float(np.max(np.abs(resid))),
             )
+        breach = float(np.max(np.maximum(self.lower - self.x, self.x - self.upper), initial=0.0))
+        if breach > 100 * self.feas_tol:
+            raise _BoundBreach("solution breaks a variable bound", residual=breach)
         return LpSolution("optimal", point, float(self.c_orig @ point))
 
 
-def lp_solve(objective, P: Polyhedron, sense: str = "min", *,
-             dantzig_limit: int | None = None,
-             max_iter: int | None = None) -> LpSolution:
+class _BoundBreach(NumericalError):
+    """The refactored basic point breaks a bound: the tableau updates drifted."""
+
+
+def lp_solve(objective, P: Polyhedron, sense: str = "min") -> LpSolution:
     """Solve min/max objective . z over the polyhedron P.
 
     Infeasible and unbounded problems are reported through the status
@@ -329,7 +336,13 @@ def lp_solve(objective, P: Polyhedron, sense: str = "min", *,
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     flip = sense == "max"
-    sol = _Simplex(P, -c if flip else c, dantzig_limit, max_iter).solve()
+    c = -c if flip else c
+    try:
+        sol = _Simplex(P, c).solve()
+    except _BoundBreach:
+        # Drifted rank-1 updates can pivot onto a near-singular basis; a
+        # fresh factorization at every pivot keeps the ratio tests accurate.
+        sol = _Simplex(P, c, refactor_every=1).solve()
     if flip and sol.is_optimal:
         sol.objective = -sol.objective + 0.0
     return sol
@@ -346,8 +359,7 @@ def _null_space(E: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray | None = None,
-                       max_iter: int | None = None) -> np.ndarray:
+def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray | None = None) -> np.ndarray:
     """Euclidean projection of g onto P by a primal active-set method.
 
     `g` may be shorter than P.num_vars: trailing variables are costless
@@ -363,8 +375,7 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray | None = None,
     t = g.shape[0]
     if t > n:
         raise ValueError("g has more entries than the polyhedron has variables")
-    if max_iter is None:
-        max_iter = 60 * n + 600
+    max_iter = 60 * n + 600
 
     if z0 is None:
         feas = lp_solve(np.zeros(n), P)

@@ -55,48 +55,6 @@ def _weight_map(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(q)
 
 
-def _dagger_residual(A: np.ndarray, w: np.ndarray) -> float:
-    """Frobenius distance of the candidate Lewis decomposition from isotropy."""
-    M = A.T @ (A / w[:, None])
-    T = psd_sqrt(M)
-    X = np.linalg.solve(T, A.T)        # columns T^{-1} a_i
-    norms = np.linalg.norm(X, axis=0)
-    S = (X * (1.0 / norms)) @ X.T      # sum_i c_i u_i u_i^T with c_i = |T^{-1}a_i|
-    return float(np.linalg.norm(S - np.eye(A.shape[1])))
-
-
-def lewis_weights_history(A, tol_lewis: float = TOL_LEWIS,
-                          max_iter: int = MAX_ITER_LEWIS):
-    """Run the fixed-point iteration, returning (w, residual_history, iters).
-
-    residual_history[t] is the max relative change of the weights at
-    iteration t.  Convergence requires both a small relative change and
-    an isotropy residual below tol_lewis.
-    """
-    A = np.asarray(A, dtype=float)
-    m, d = A.shape
-    w = np.full(m, d / m)
-    history: list[float] = []
-    for it in range(1, max_iter + 1):
-        w_new = _weight_map(A, w)
-        rel = float(np.max(np.abs(w_new - w) / w))
-        history.append(rel)
-        w = w_new
-        if rel <= tol_lewis * 1e-2 and _dagger_residual(A, w) <= tol_lewis:
-            return w, history, it
-    raise NumericalError(
-        "Lewis weight iteration did not converge",
-        residual=history[-1] if history else None,
-    )
-
-
-def lewis_weights(A, tol_lewis: float = TOL_LEWIS,
-                  max_iter: int = MAX_ITER_LEWIS) -> np.ndarray:
-    """l1 Lewis weights of the generator matrix A (one row per generator)."""
-    w, _, _ = lewis_weights_history(A, tol_lewis, max_iter)
-    return w
-
-
 def lewis_transform(A, w, iterations: int = 0) -> LewisPosition:
     """Assemble the Lewis position from converged weights."""
     A = np.asarray(A, dtype=float)
@@ -114,12 +72,44 @@ def lewis_transform(A, w, iterations: int = 0) -> LewisPosition:
                          residual=residual, iterations=iterations)
 
 
+def lewis_weights_history(A, tol_lewis: float = TOL_LEWIS,
+                          max_iter: int = MAX_ITER_LEWIS):
+    """Run the fixed-point iteration, returning (LewisPosition, residual_history).
+
+    residual_history[t] is the max relative change of the weights at
+    iteration t.  Convergence requires both a small relative change and
+    an isotropy residual below tol_lewis.
+    """
+    A = np.asarray(A, dtype=float)
+    m, d = A.shape
+    w = np.full(m, d / m)
+    history: list[float] = []
+    for it in range(1, max_iter + 1):
+        w_new = _weight_map(A, w)
+        rel = float(np.max(np.abs(w_new - w) / w))
+        history.append(rel)
+        w = w_new
+        if rel <= tol_lewis * 1e-2:
+            position = lewis_transform(A, w, iterations=it)
+            if position.residual <= tol_lewis:
+                return position, history
+    raise NumericalError(
+        "Lewis weight iteration did not converge",
+        residual=history[-1] if history else None,
+    )
+
+
+def lewis_weights(A, tol_lewis: float = TOL_LEWIS,
+                  max_iter: int = MAX_ITER_LEWIS) -> np.ndarray:
+    """l1 Lewis weights of the generator matrix A (one row per generator)."""
+    return lewis_weights_history(A, tol_lewis, max_iter)[0].w
+
+
 def lewis_position(Z: Zonotope | np.ndarray, tol_lewis: float = TOL_LEWIS,
                    max_iter: int = MAX_ITER_LEWIS) -> LewisPosition:
     """Weights plus transform in one call."""
     A = Z.A if isinstance(Z, Zonotope) else np.asarray(Z, dtype=float)
-    w, _, iters = lewis_weights_history(A, tol_lewis, max_iter)
-    return lewis_transform(A, w, iterations=iters)
+    return lewis_weights_history(A, tol_lewis, max_iter)[0]
 
 
 def k1_norm(LP: LewisPosition, x) -> float:

@@ -57,16 +57,13 @@ def brute_force_min_discrepancy(Z: Zonotope, V: VectorFamily) -> OracleResult:
                         evaluations=evaluations)
 
 
-def _l1_section_max_lp(span_basis: np.ndarray, objective: np.ndarray) -> float:
-    """max <objective, b> over b in the l1 ball intersected with a subspace.
-
-    `span_basis` has orthonormal columns spanning the subspace; b = B z is
-    lifted with split positives b = p - q, sum(p + q) <= 1.
-    """
-    m, r = span_basis.shape
-    nv = r + 2 * m + 1  # z, p, q, slack
+def _l1_ball_lp(R: np.ndarray) -> Polyhedron:
+    """The x with ||R x||_1 <= 1, lifted over (x, p, q, slack) as
+    R x - p + q = 0, sum(p + q) + slack = 1, with p, q, slack >= 0."""
+    m, r = R.shape
+    nv = r + 2 * m + 1
     E = np.zeros((m + 1, nv))
-    E[:m, :r] = span_basis
+    E[:m, :r] = R
     E[:m, r:r + m] = -np.eye(m)
     E[:m, r + m:r + 2 * m] = np.eye(m)
     E[m, r:r + 2 * m] = 1.0
@@ -74,12 +71,16 @@ def _l1_section_max_lp(span_basis: np.ndarray, objective: np.ndarray) -> float:
     e = np.zeros(m + 1)
     e[m] = 1.0
     lower = np.concatenate([np.full(r, -np.inf), np.zeros(2 * m + 1)])
-    upper = np.full(nv, np.inf)
-    c = np.zeros(nv)
-    c[:r] = span_basis.T @ objective
-    sol = lp_solve(c, Polyhedron(nv, E, e, lower, upper), sense="max")
+    return Polyhedron(nv, E, e, lower, np.full(nv, np.inf))
+
+
+def _l1_ball_max(P: Polyhedron, objective: np.ndarray) -> float:
+    """max <objective, x> over a polyhedron built by _l1_ball_lp."""
+    c = np.zeros(P.num_vars)
+    c[:objective.shape[0]] = objective
+    sol = lp_solve(c, P, sense="max")
     if not sol.is_optimal:
-        raise InputError("l1-section LP unexpectedly " + sol.status)
+        raise InputError("l1-ball LP unexpectedly " + sol.status)
     return sol.objective
 
 
@@ -100,15 +101,17 @@ def polar_identity_check(Z: Zonotope, V: VectorFamily, S, trials: int,
     S = sorted(int(i) for i in S)
     if not S:
         raise InputError("index set must be nonempty")
-    # Orthonormal basis of the column span of A, computed once.
+    # The l1 ball cut by the column span of A, in an orthonormal basis
+    # z of that span (b = span_basis z), built once.
     span_basis, _ = np.linalg.qr(Z.A)
+    P = _l1_ball_lp(span_basis)
     V_S = V.V[S]
     U_S = V.U[S]
     max_gap = 0.0
     for _ in range(trials):
         y = rng.standard_normal(len(S))
         lhs = zonotope_norm(Z, V_S.T @ y).value
-        rhs = _l1_section_max_lp(span_basis, U_S.T @ y)
+        rhs = _l1_ball_max(P, span_basis.T @ (U_S.T @ y))
         max_gap = max(max_gap, abs(lhs - rhs))
     return max_gap
 
@@ -130,32 +133,12 @@ def width_estimate(LP: LewisPosition, samples: int, rng) -> WidthEstimate:
     """
     if samples < 2:
         raise InputError("need at least two samples for a standard error")
-    d, m = LP.d, LP.m
-    rows = LP.U_dirs * LP.c[:, None]  # constraint sum |rows @ x| <= 1
-    nv = d + 2 * m + 1
-    E = np.zeros((m + 1, nv))
-    E[:m, :d] = rows
-    E[:m, d:d + m] = -np.eye(m)
-    E[:m, d + m:d + 2 * m] = np.eye(m)
-    E[m, d:d + 2 * m] = 1.0
-    E[m, d + 2 * m] = 1.0
-    e = np.zeros(m + 1)
-    e[m] = 1.0
-    lower = np.concatenate([np.full(d, -np.inf), np.zeros(2 * m + 1)])
-    upper = np.full(nv, np.inf)
-    P = Polyhedron(nv, E, e, lower, upper)
-    vals = np.empty(samples)
-    for i in range(samples):
-        g = rng.standard_normal(d)
-        c = np.zeros(nv)
-        c[:d] = g
-        sol = lp_solve(c, P, sense="max")
-        if not sol.is_optimal:
-            raise InputError("width LP unexpectedly " + sol.status)
-        vals[i] = sol.objective
+    P = _l1_ball_lp(LP.U_dirs * LP.c[:, None])  # sum_i c_i |<x, u_i>| <= 1
+    vals = np.array([_l1_ball_max(P, rng.standard_normal(LP.d))
+                     for _ in range(samples)])
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
-    return WidthEstimate(mean=mean, stderr=stderr, samples=samples, d=d)
+    return WidthEstimate(mean=mean, stderr=stderr, samples=samples, d=LP.d)
 
 
 CSV_COLUMNS = ("kind", "d", "m", "n", "seed", "c0", "discrepancy", "bound",

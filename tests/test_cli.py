@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line surface (exit codes, formats)."""
 
 import io
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zonobalance
 from zonobalance.cli import main
 from zonobalance.instancefile import generate_instance, serialize_instance
 from zonobalance.seeding import run_seed, splitmix64
@@ -115,6 +118,25 @@ class TestExitCodes:
         assert code == 2
         assert "numerical" in err.lower()
 
+    @pytest.mark.parametrize("flags", [
+        ("--c0", "0", "--exact-finish"),
+        ("--c0", "-1", "--exact-finish"),
+        ("--c0", "0"),
+        ("--retries", "0"),
+    ])
+    def test_bad_c0_or_retries_exits_one(self, capsys, cube4, flags):
+        code, _, err = run_cli(capsys, "balance", cube4, *flags)
+        assert code == 1
+        assert "c0" in err or "retries" in err
+
+    def test_exact_finish_scale_is_capped(self, capsys, cube4):
+        # Covering this increment from c0 = 1e-12 takes 39 doublings,
+        # past the MAX_DOUBLINGS = 24 every round obeys.
+        code, _, err = run_cli(capsys, "balance", cube4, "--c0", "1e-12",
+                               "--exact-finish")
+        assert code == 2
+        assert "numerical" in err.lower()
+
 
 class TestSubcommands:
     def test_lewis_output(self, capsys, spencer6):
@@ -171,26 +193,50 @@ class TestBench:
         assert row.split(",")[-1] != ""
 
 
+SRC = str(Path(zonobalance.__file__).resolve().parents[1])
+
+
+def run_python(*args, stdin=None):
+    """Run this interpreter in a fresh process with the package's source first
+    on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
 class TestInstalledEntryPoint:
-    @pytest.mark.skipif(shutil.which("zonobalance") is None,
-                        reason="console script not on PATH")
     def test_pipe_through_real_processes(self):
-        gen = subprocess.run(
-            ["zonobalance", "gen", "--kind", "cube", "--d", "4", "--n", "4",
-             "--seed", "1"], capture_output=True, text=True)
+        gen = run_python("-m", "zonobalance", "gen", "--kind", "cube", "--d", "4",
+                         "--n", "4", "--seed", "1")
         assert gen.returncode == 0
-        bal = subprocess.run(
-            ["zonobalance", "balance", "-", "--seed", "7"],
-            input=gen.stdout, capture_output=True, text=True)
+        bal = run_python("-m", "zonobalance", "balance", "-", "--seed", "7",
+                         stdin=gen.stdout)
         assert bal.returncode == 0
         assert "discrepancy:" in bal.stdout
 
-    @pytest.mark.skipif(shutil.which("zonobalance") is None,
-                        reason="console script not on PATH")
     def test_unknown_subcommand_exits_one(self):
-        res = subprocess.run(["zonobalance", "frobnicate"],
-                             capture_output=True, text=True)
-        assert res.returncode == 1
+        assert run_python("-m", "zonobalance", "frobnicate").returncode == 1
+
+    def test_balance_and_invariant_check_under_optimize(self, cube4):
+        # python -O strips asserts; the round invariant must still fire.
+        bal = run_python("-O", "-m", "zonobalance", "balance", cube4, "--seed", "7")
+        assert bal.returncode == 0
+        assert "discrepancy:" in bal.stdout
+        probe = (
+            "import numpy as np\n"
+            "from zonobalance import coloring, errors\n"
+            "from zonobalance.zonotope import VectorFamily, Zonotope\n"
+            "def bad_round(Z, V, y, **kw):\n"
+            "    return coloring.PartialColoringStep(np.full(V.n, 1.5), 0.0, 1.0, 2.0, 1, V.n)\n"
+            "coloring.partial_coloring = bad_round\n"
+            "try:\n"
+            "    coloring.balance(Zonotope(np.eye(4)), VectorFamily(0.1 * np.eye(4)))\n"
+            "except errors.NumericalError:\n"
+            "    print('raised')\n"
+        )
+        res = run_python("-O", "-c", probe)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "raised"
 
 
 class TestSeeding:

@@ -36,7 +36,7 @@ class TestWeights:
         rng = np.random.default_rng(1)
         for _ in range(5):
             A = rng.standard_normal((30, 6))
-            _, history, _ = lewis_weights_history(A)
+            _, history = lewis_weights_history(A)
             for i in range(5, len(history) - 1):
                 assert history[i + 1] <= history[i] + 1e-12
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from zonobalance.errors import InputError
+from zonobalance.instancefile import generate_instance
 from zonobalance.lewis import lewis_position
+from zonobalance.seeding import run_seed
 from zonobalance.verify import (
     bound_report,
     brute_force_min_discrepancy,
@@ -16,7 +18,13 @@ from zonobalance.verify import (
     width_estimate,
 )
 from zonobalance.coloring import balance
-from zonobalance.zonotope import VectorFamily, Zonotope, ensure_preimages
+from zonobalance.zonotope import (
+    VectorFamily,
+    Zonotope,
+    ensure_preimages,
+    preprocess,
+    zonotope_norm,
+)
 
 
 def random_zonotope_instance(d, m, n, seed):
@@ -109,6 +117,36 @@ class TestPolarIdentity:
                 S = sorted(rng.choice(4, size=size, replace=False).tolist())
                 worst = max(worst, polar_identity_check(Z, V, S, 1, rng))
         assert worst <= 1e-6
+
+    def test_drifted_section_lp_recovers(self):
+        # On this instance the rank-1 tableau updates of one section LP
+        # drifted onto a near-singular basis, and the solver returned a
+        # point breaking a bound by 6.7e-3 with value 1.31448 for a gauge
+        # of 1.30029.  HiGHS recomputes each gauge independently.
+        from scipy.optimize import linprog
+
+        rs = run_seed(3, 72)
+        inst = generate_instance("random-zonotope", 16, 64, 16,
+                                 np.random.default_rng(run_seed(rs, 0)))
+        Z, V, _ = preprocess(inst.A, inst.V, inst.U)
+        V = ensure_preimages(Z, V)
+        gap = polar_identity_check(Z, V, range(16), 4,
+                                   np.random.default_rng(run_seed(rs, 1)))
+        assert gap <= 1e-6
+        m = Z.m
+        rng = np.random.default_rng(run_seed(rs, 1))  # the check's y stream
+        for _ in range(4):
+            x = V.V.T @ rng.standard_normal(16)
+            # min t s.t. A^T u = x, -t <= u_j <= t
+            c = np.zeros(m + 1)
+            c[m] = 1.0
+            A_ub = np.block([[np.eye(m), -np.ones((m, 1))],
+                             [-np.eye(m), -np.ones((m, 1))]])
+            ref = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * m),
+                          A_eq=np.hstack([Z.A.T, np.zeros((Z.d, 1))]), b_eq=x,
+                          bounds=[(None, None)] * (m + 1), method="highs")
+            assert ref.status == 0
+            assert zonotope_norm(Z, x).value == pytest.approx(ref.fun, abs=1e-6)
 
     def test_requires_preimages(self):
         Z = Zonotope(np.eye(2))
