@@ -11,11 +11,9 @@ instance format and a CLI.
 
 from .coloring import (
     BalanceReport,
-    CoordinateBodyLift,
     PartialColoringStep,
     RoundRecord,
     balance,
-    build_coordinate_body,
     partial_coloring,
     round_scale,
 )
@@ -52,26 +50,26 @@ from .zonotope import (
     NormResult,
     VectorFamily,
     Zonotope,
-    ensure_preimages,
     membership,
     polar_norm,
     preprocess,
+    reduce_generators,
     zonotope_norm,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceReport", "BasisChange", "CoordinateBodyLift", "InclusionReport",
+    "BalanceReport", "BasisChange", "InclusionReport",
     "InfeasiblePolyhedronError", "InputError", "InstanceFile", "LewisPosition",
     "LpSolution", "MembershipError", "NormResult", "NumericalError",
     "OracleResult", "ParseError", "PartialColoringStep", "Polyhedron",
     "RoundRecord", "SpanError", "VectorFamily", "WidthEstimate", "Zonotope",
     "ZonobalanceError", "balance", "bound_report",
-    "brute_force_min_discrepancy", "build_coordinate_body", "check_inclusions",
-    "ensure_preimages", "generate_instance", "k1_norm", "lewis_position",
+    "brute_force_min_discrepancy", "check_inclusions",
+    "generate_instance", "k1_norm", "lewis_position",
     "lewis_transform", "lewis_weights", "lp_solve", "membership",
     "parse_instance", "partial_coloring", "polar_identity_check", "polar_norm",
-    "preprocess", "project_polyhedron", "psd_sqrt", "round_scale",
-    "serialize_instance", "width_estimate", "zonotope_norm",
+    "preprocess", "project_polyhedron", "psd_sqrt", "reduce_generators",
+    "round_scale", "serialize_instance", "width_estimate", "zonotope_norm",
 ]

@@ -17,7 +17,7 @@ from .convex import TOL_FEAS
 from .errors import InputError, NumericalError
 from .instancefile import KINDS, InstanceFile, generate_instance, parse_instance, serialize_instance
 from .seeding import run_seed
-from .zonotope import ensure_preimages, preprocess
+from .zonotope import preprocess, reduce_generators, zonotope_norm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +89,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("norm", help="zonotope norm of a vector")
     _add_instance_arg(p)
     p.add_argument("--x", required=True, help="vector entries, space separated")
-    p.add_argument("--rescale", action="store_true")
-    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("lewis", help="Lewis weights and transform of the generators")
@@ -170,14 +168,13 @@ def _cmd_norm(args) -> int:
         x = np.array([float(t) for t in args.x.split()])
     except ValueError:
         raise InputError(f"--x must be a space-separated vector, got {args.x!r}")
-    Z, _, change = _prepared(inst, args.rescale, args.tol_feas)
+    Z, change = reduce_generators(inst.A)
     if x.shape[0] != change.original_d:
         raise InputError(
             f"--x has dimension {x.shape[0]}, instance has {change.original_d}")
     x_red = change.to_reduced(x)
     if np.linalg.norm(change.to_original(x_red) - x) > 1e-8 * (1.0 + np.linalg.norm(x)):
         raise InputError("--x lies outside the span of the generators")
-    from .zonotope import zonotope_norm
     value = zonotope_norm(Z, x_red).value
     _write(repr(value), args.out)
     return 0
@@ -185,9 +182,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_lewis(args) -> int:
     inst = _read_instance(args.instance)
-    # The vectors are irrelevant here; preprocess with rescale so only a
-    # genuinely broken generator set can reject the instance.
-    Z, _, _ = _prepared(inst, rescale=True)
+    Z, _ = reduce_generators(inst.A)
     LP = lewis.lewis_position(Z.A, tol_lewis=args.tol_lewis, max_iter=args.max_iter)
     lines = [
         "weights: " + " ".join(repr(float(w)) for w in LP.w),
@@ -215,7 +210,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_check(args) -> int:
     inst = _read_instance(args.instance)
     Z, V, _ = _prepared(inst)
-    V = ensure_preimages(Z, V)
     rng = np.random.default_rng(args.seed)
     max_gap = 0.0
     for _ in range(args.trials):
@@ -229,7 +223,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_width(args) -> int:
     inst = _read_instance(args.instance)
-    Z, _, _ = _prepared(inst, rescale=True)
+    Z, _ = reduce_generators(inst.A)
     LP = lewis.lewis_position(Z.A, tol_lewis=args.tol_lewis)
     est = verify.width_estimate(LP, args.samples, np.random.default_rng(args.seed))
     _write(

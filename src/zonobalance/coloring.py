@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Polyhedron, lp_solve, project_polyhedron
+from .convex import Polyhedron, project_polyhedron
 from .errors import InputError, NumericalError
 from .zonotope import VectorFamily, Zonotope, zonotope_norm
 
@@ -42,36 +42,6 @@ def round_scale(k: int, d: int, c: float) -> float:
     return c * math.sqrt(k * math.log2(2.0 * d / k))
 
 
-@dataclass(frozen=True)
-class CoordinateBodyLift:
-    """Lifted description of the scaled coordinate body.
-
-    Membership of a coefficient vector a is encoded by feasibility of
-    (a, u) with sum_i a_i v_i = A^T u and |u_j| <= scale; the box on a is
-    left open here and tightened by the partial-coloring step.
-    """
-
-    S: tuple[int, ...]
-    scale: float
-    polyhedron: Polyhedron
-    V_S: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return len(self.S)
-
-    def contains(self, a) -> bool:
-        """Feasibility of the lift with a pinned (an LP in u alone)."""
-        a = np.asarray(a, dtype=float)
-        k, num = self.k, self.polyhedron.num_vars
-        lower = self.polyhedron.lower.copy()
-        upper = self.polyhedron.upper.copy()
-        lower[:k] = a
-        upper[:k] = a
-        pinned = Polyhedron(num, self.polyhedron.E, self.polyhedron.e, lower, upper)
-        return lp_solve(np.zeros(num), pinned).is_optimal
-
-
 def _lift(Z: Zonotope, V_S: np.ndarray, a_lower, a_upper, s: float) -> Polyhedron:
     """{(a, u) : sum_i a_i v_i = A^T u, a_lower <= a <= a_upper, |u_j| <= s}."""
     k, m = V_S.shape[0], Z.m
@@ -79,19 +49,6 @@ def _lift(Z: Zonotope, V_S: np.ndarray, a_lower, a_upper, s: float) -> Polyhedro
     lower = np.concatenate([a_lower, np.full(m, -s)])
     upper = np.concatenate([a_upper, np.full(m, s)])
     return Polyhedron(k + m, E, np.zeros(Z.d), lower, upper)
-
-
-def build_coordinate_body(Z: Zonotope, V: VectorFamily, S, s: float) -> CoordinateBodyLift:
-    """Lift of s * K_S over variables (a, u) for the index set S."""
-    S = tuple(sorted(int(i) for i in S))
-    if not S:
-        raise InputError("index set must be nonempty")
-    if s <= 0:
-        raise InputError("scale must be positive")
-    V_S = V.V[list(S)]
-    k = len(S)
-    P = _lift(Z, V_S, np.full(k, -np.inf), np.full(k, np.inf), s)
-    return CoordinateBodyLift(S=S, scale=float(s), polyhedron=P, V_S=V_S)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import InfeasiblePolyhedronError, NumericalError
 
-# Global tolerances.  Everything downstream derives from these two.
+# Global tolerance.  Everything downstream derives from it.
 TOL_FEAS = 1e-9
-TOL_PROJ = 1e-7
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -257,11 +256,6 @@ class _Simplex:
                 ties = np.flatnonzero(t_block <= t_min + 1e-15)
                 p = int(ties[np.argmin(self.basis[ties])])
                 piv = self.W[p, j]
-                if abs(piv) < 1e-11:
-                    # Cannot happen for a row passing the ratio-test
-                    # threshold; refactor and re-price defensively.
-                    self._refactor()
-                    continue
                 q = int(self.basis[p])
                 self.x[self.basis] -= t_min * delta
                 self.x[j] = self.x[j] + sigma * t_min

@@ -88,30 +88,23 @@ def polar_identity_check(Z: Zonotope, V: VectorFamily, S, trials: int,
                          rng) -> float:
     """Largest gap between the two sides of the coordinate-body duality.
 
-    For random y the gauge of sum_{i in S} y_i v_i must equal the maximum
-    of <sum y_i u_i, b> over the l1 ball restricted to the generator
-    column span, computed by an independent LP over that section.
-    Requires cube preimages on the family.
+    For random y the gauge of x = sum_{i in S} y_i v_i must equal the
+    maximum of <x, w> over the polar body {w : ||A w||_1 <= 1}.  With
+    A = Q R and b = A w = Q z that maximum is max <R^{-T} x, z> over the
+    l1 ball cut by the column span of A, ||Q z||_1 <= 1, computed by an
+    independent LP over that section.
     """
-    if V.U is None:
-        raise InputError(
-            "polar identity check needs cube preimages; "
-            "construct them with ensure_preimages() (one norm LP per vector)"
-        )
     S = sorted(int(i) for i in S)
     if not S:
         raise InputError("index set must be nonempty")
-    # The l1 ball cut by the column span of A, in an orthonormal basis
-    # z of that span (b = span_basis z), built once.
-    span_basis, _ = np.linalg.qr(Z.A)
+    span_basis, R = np.linalg.qr(Z.A)
     P = _l1_ball_lp(span_basis)
     V_S = V.V[S]
-    U_S = V.U[S]
     max_gap = 0.0
     for _ in range(trials):
-        y = rng.standard_normal(len(S))
-        lhs = zonotope_norm(Z, V_S.T @ y).value
-        rhs = _l1_ball_max(P, span_basis.T @ (U_S.T @ y))
+        x = V_S.T @ rng.standard_normal(len(S))
+        lhs = zonotope_norm(Z, x).value
+        rhs = _l1_ball_max(P, np.linalg.solve(R.T, x))
         max_gap = max(max_gap, abs(lhs - rhs))
     return max_gap
 
@@ -163,12 +156,8 @@ def csv_row(kind: str, report: BalanceReport, opt: float | None = None) -> str:
     return ",".join(_fmt(c) for c in cells)
 
 
-def bound_report(report: BalanceReport, oracle: OracleResult | None = None,
-                 kind: str = "", fmt: str = "text") -> str:
-    """Human- or machine-readable summary of a balancing run."""
-    if fmt == "csv":
-        return csv_header() + "\n" + csv_row(
-            kind, report, None if oracle is None else oracle.opt)
+def bound_report(report: BalanceReport, oracle: OracleResult | None = None) -> str:
+    """Human-readable summary of a balancing run."""
     lines = [
         f"n: {report.n}",
         f"d: {report.d}",

@@ -56,10 +56,9 @@ class Zonotope:
 
 
 class VectorFamily:
-    """Vectors to balance, stacked as rows of V; optional cube preimages U
-    with v_i = A^T u_i."""
+    """Vectors to balance, stacked as rows of V."""
 
-    def __init__(self, V, U=None):
+    def __init__(self, V):
         V = np.array(V, dtype=float)
         if V.ndim != 2 or V.shape[0] < 1:
             raise InputError("V must be a nonempty matrix with one vector per row")
@@ -67,14 +66,6 @@ class VectorFamily:
             raise InputError("V contains NaN or infinity")
         V.setflags(write=False)
         self.V = V
-        if U is not None:
-            U = np.array(U, dtype=float)
-            if U.shape[0] != V.shape[0]:
-                raise InputError("U must have one preimage row per vector")
-            if not np.all(np.isfinite(U)):
-                raise InputError("U contains NaN or infinity")
-            U.setflags(write=False)
-        self.U = U
 
     @property
     def n(self) -> int:
@@ -85,11 +76,10 @@ class VectorFamily:
         return self.V.shape[1]
 
     def restrict(self, indices) -> "VectorFamily":
-        idx = np.asarray(indices, dtype=int)
-        return VectorFamily(self.V[idx], None if self.U is None else self.U[idx])
+        return VectorFamily(self.V[np.asarray(indices, dtype=int)])
 
     def __repr__(self) -> str:
-        return f"VectorFamily(n={self.n}, d={self.d}, preimages={self.U is not None})"
+        return f"VectorFamily(n={self.n}, d={self.d})"
 
 
 class NormResult(NamedTuple):
@@ -169,15 +159,46 @@ class BasisChange:
         return self.Q.T @ np.asarray(x_orig, dtype=float)
 
 
+def reduce_generators(A_raw) -> tuple[Zonotope, BasisChange]:
+    """Build the zonotope of raw generators: drop zero rows and, when A is
+    rank deficient, reduce to an orthonormal basis of its span.
+
+    Returns (Zonotope, BasisChange).
+    """
+    A = np.array(A_raw, dtype=float)
+    if A.ndim != 2:
+        raise InputError("A must be a matrix")
+    if not np.all(np.isfinite(A)):
+        raise InputError("generator matrix contains NaN or infinity")
+    keep = np.any(A != 0.0, axis=1)
+    dropped = tuple(int(i) for i in np.flatnonzero(~keep))
+    A = A[keep]
+    if A.shape[0] == 0:
+        raise InputError("all generators are zero")
+
+    d0 = A.shape[1]
+    _, svals, vt = np.linalg.svd(A, full_matrices=False)
+    rank_tol = max(A.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    r = int(np.sum(svals > rank_tol))
+    if r < d0:
+        Q = vt[:r].T  # orthonormal basis of the generator span
+        A = A @ Q
+    else:
+        Q = np.eye(d0)
+    return Zonotope(A), BasisChange(Q, dropped, d0)
+
+
 def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False,
                tol_feas: float = TOL_FEAS):
     """Normalize a raw instance into a valid (Zonotope, VectorFamily) pair.
 
-    Drops zero generator rows, reduces to the span of the generators when
-    A is rank deficient, and certifies that every vector lies in the
-    zonotope (via stored preimages when available, else by the norm LP).
-    Vectors outside the span are rejected; vectors outside the body are
-    rejected unless `rescale` pulls them back to the boundary.
+    Builds the zonotope with `reduce_generators`, maps the vectors into
+    its span, and certifies that every vector lies in the body: a row of
+    the optional cube preimages U (v_i = A^T u_i, |u_i| <= 1) certifies
+    its vector without an LP, any other vector is certified by the norm
+    LP.  The preimages are not kept.  Vectors outside the span are
+    rejected; vectors outside the body are rejected unless `rescale`
+    pulls them back to the boundary.
 
     Returns (Zonotope, VectorFamily, BasisChange).
     """
@@ -197,20 +218,11 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False,
         if U.shape != (V.shape[0], A.shape[0]):
             raise InputError("U must be n x m")
 
-    keep = np.any(A != 0.0, axis=1)
-    dropped = tuple(int(i) for i in np.flatnonzero(~keep))
-    A = A[keep]
+    Z, change = reduce_generators(A)
     if U is not None:
-        U = U[:, keep]
-    if A.shape[0] == 0:
-        raise InputError("all generators are zero")
-
-    d0 = A.shape[1]
-    _, svals, vt = np.linalg.svd(A, full_matrices=False)
-    rank_tol = max(A.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    r = int(np.sum(svals > rank_tol))
-    if r < d0:
-        Q = vt[:r].T  # orthonormal basis of the generator span
+        U = np.delete(U, change.dropped_generators, axis=1)
+    if change.reduced_d < change.original_d:
+        Q = change.Q
         for i in range(V.shape[0]):
             resid = np.linalg.norm(V[i] - Q @ (Q.T @ V[i]))
             if resid > TOL_SPAN * (1.0 + np.linalg.norm(V[i])):
@@ -218,49 +230,25 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False,
                     f"vector {i} lies outside the span of the generators "
                     f"(residual {resid:.3e})"
                 )
-        A = A @ Q
         V = V @ Q
-    else:
-        Q = np.eye(d0)
 
-    if V.shape[0] > r:
+    if V.shape[0] > Z.d:
         raise InputError(
-            f"more vectors ({V.shape[0]}) than the zonotope dimension ({r}); "
+            f"more vectors ({V.shape[0]}) than the zonotope dimension ({Z.d}); "
             "the n > d case is out of scope"
         )
 
-    Z = Zonotope(A)
-    V = V.copy()
-    if U is not None:
-        U = U.copy()
     for i in range(V.shape[0]):
-        if U is not None:
-            certified = (
-                np.max(np.abs(U[i]), initial=0.0) <= 1.0 + tol_feas
-                and np.linalg.norm(Z.A.T @ U[i] - V[i]) <= 1e-8
-            )
-            if certified:
-                continue
-        value, pre = zonotope_norm(Z, V[i])
+        if U is not None and (
+            np.max(np.abs(U[i]), initial=0.0) <= 1.0 + tol_feas
+            and np.linalg.norm(Z.A.T @ U[i] - V[i]) <= 1e-8
+        ):
+            continue
+        value = zonotope_norm(Z, V[i]).value
         if value <= 1.0 + tol_feas:
-            if U is not None:
-                U[i] = pre
             continue
-        if rescale:
-            V[i] /= value
-            if U is not None:
-                U[i] = pre / value
-            continue
-        raise MembershipError(i, value)
+        if not rescale:
+            raise MembershipError(i, value)
+        V[i] /= value
 
-    return Z, VectorFamily(V, U), BasisChange(Q, dropped, d0)
-
-
-def ensure_preimages(Z: Zonotope, V: VectorFamily) -> VectorFamily:
-    """Return a family carrying cube preimages, solving norm LPs as needed."""
-    if V.U is not None:
-        return V
-    U = np.empty((V.n, Z.m))
-    for i in range(V.n):
-        U[i] = zonotope_norm(Z, V.V[i]).preimage
-    return VectorFamily(V.V, U)
+    return Z, VectorFamily(V), change

@@ -167,6 +167,31 @@ class TestSubcommands:
         assert float(fields["mean"]) > 0
         assert int(fields["samples"]) == 30
 
+    # lewis, width and norm read only the generators: more vectors than
+    # dimensions, or a vector outside the generator span, must not matter.
+    BODY_ONLY = {
+        "n_exceeds_d": ("2 2 3\n1 0\n0 1\n0.1 0\n0 0.1\n0.1 0.1\n", "3 0", 3.0, 2),
+        "vector_outside_span": ("3 3 1\n1 0 0\n0 1 0\n2 0 0\n0 0 1\n", "1 0 0", 1 / 3, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BODY_ONLY))
+    def test_body_only_commands_ignore_vectors(self, capsys, monkeypatch, name):
+        text, x, gauge, d = self.BODY_ONLY[name]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "lewis", "-")
+        assert code == 0, err
+        fields = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert float(fields["sum_weights"]) == pytest.approx(d, abs=1e-6)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "width", "-", "--samples", "5")
+        assert code == 0, err
+        fields = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert int(fields["d"]) == d
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "norm", "-", "--x", x)
+        assert code == 0, err
+        assert float(out) == pytest.approx(gauge, abs=1e-9)
+
 
 class TestBench:
     def test_small_sweep_deterministic(self, capsys):

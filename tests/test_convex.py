@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import linprog
 
 from zonobalance.convex import (
-    TOL_PROJ,
     Polyhedron,
     lp_solve,
     project_polyhedron,
@@ -179,7 +178,7 @@ class TestProjection:
             z2 = project_polyhedron(z, P, z0=z)
             d1 = float(np.sum((z - g) ** 2))
             d2 = float(np.sum((z2 - z) ** 2))
-            assert d2 <= TOL_PROJ
+            assert d2 <= 1e-7
 
     def test_variational_inequality(self):
         # <g - x*, z - x*> <= tol for sampled feasible z, on the block

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from zonobalance import convex
 from zonobalance.errors import InputError
 from zonobalance.instancefile import generate_instance
 from zonobalance.lewis import lewis_position
@@ -21,7 +22,6 @@ from zonobalance.coloring import balance
 from zonobalance.zonotope import (
     VectorFamily,
     Zonotope,
-    ensure_preimages,
     preprocess,
     zonotope_norm,
 )
@@ -31,7 +31,7 @@ def random_zonotope_instance(d, m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, d))
     U = rng.uniform(-1.0, 1.0, (n, m))
-    return Zonotope(A), VectorFamily(U @ A, U)
+    return Zonotope(A), VectorFamily(U @ A)
 
 
 class TestOracle:
@@ -70,7 +70,7 @@ class TestOracle:
     def test_symmetry_under_negation(self):
         Z, V = random_zonotope_instance(4, 8, 4, seed=1)
         a = brute_force_min_discrepancy(Z, V)
-        b = brute_force_min_discrepancy(Z, VectorFamily(-V.V, None))
+        b = brute_force_min_discrepancy(Z, VectorFamily(-V.V))
         assert a.opt == b.opt
         assert np.array_equal(a.best_signs, b.best_signs)
 
@@ -102,7 +102,7 @@ class TestPolarIdentity:
 
     def test_cube_identity_is_linf_l1_duality(self):
         Z = Zonotope(np.eye(3))
-        V = ensure_preimages(Z, VectorFamily(np.eye(3)))
+        V = VectorFamily(np.eye(3))
         rng = np.random.default_rng(3)
         gap = polar_identity_check(Z, V, [0, 1, 2], 50, rng)
         assert gap <= 1e-9
@@ -118,21 +118,31 @@ class TestPolarIdentity:
                 worst = max(worst, polar_identity_check(Z, V, S, 1, rng))
         assert worst <= 1e-6
 
-    def test_drifted_section_lp_recovers(self):
+    def test_drifted_section_lp_recovers(self, monkeypatch):
         # On this instance the rank-1 tableau updates of one section LP
-        # drifted onto a near-singular basis, and the solver returned a
-        # point breaking a bound by 6.7e-3 with value 1.31448 for a gauge
-        # of 1.30029.  HiGHS recomputes each gauge independently.
+        # drift onto a near-singular basis, and without the re-solve the
+        # solver returned a point breaking a bound by 6.7e-3 with value
+        # 1.31448 for a gauge of 1.30029.  The spy shows that the
+        # refactor-every-pivot re-solve runs; HiGHS recomputes each gauge
+        # independently.
         from scipy.optimize import linprog
 
+        refactor_periods = []
+
+        class SpySimplex(convex._Simplex):
+            def __init__(self, P, c, refactor_every=convex._Simplex.REFACTOR_EVERY):
+                refactor_periods.append(refactor_every)
+                super().__init__(P, c, refactor_every)
+
+        monkeypatch.setattr(convex, "_Simplex", SpySimplex)
         rs = run_seed(3, 72)
         inst = generate_instance("random-zonotope", 16, 64, 16,
                                  np.random.default_rng(run_seed(rs, 0)))
         Z, V, _ = preprocess(inst.A, inst.V, inst.U)
-        V = ensure_preimages(Z, V)
         gap = polar_identity_check(Z, V, range(16), 4,
                                    np.random.default_rng(run_seed(rs, 1)))
         assert gap <= 1e-6
+        assert 1 in refactor_periods
         m = Z.m
         rng = np.random.default_rng(run_seed(rs, 1))  # the check's y stream
         for _ in range(4):
@@ -147,12 +157,6 @@ class TestPolarIdentity:
                           bounds=[(None, None)] * (m + 1), method="highs")
             assert ref.status == 0
             assert zonotope_norm(Z, x).value == pytest.approx(ref.fun, abs=1e-6)
-
-    def test_requires_preimages(self):
-        Z = Zonotope(np.eye(2))
-        V = VectorFamily(np.array([[0.5, 0.5]]))
-        with pytest.raises(InputError, match="preimages"):
-            polar_identity_check(Z, V, [0], 1, np.random.default_rng(0))
 
 
 class TestWidth:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from zonobalance import zonotope
 from zonobalance.errors import InputError, MembershipError, SpanError
 from zonobalance.zonotope import (
     VectorFamily,
     Zonotope,
-    ensure_preimages,
     membership,
     polar_norm,
     preprocess,
@@ -20,7 +20,7 @@ THREE_GEN = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 def random_instance(rng, d, m, n):
     A = rng.standard_normal((m, d))
     U = rng.uniform(-1.0, 1.0, (n, m))
-    return Zonotope(A), VectorFamily(U @ A, U)
+    return Zonotope(A), VectorFamily(U @ A)
 
 
 class TestConstruction:
@@ -152,6 +152,20 @@ class TestMembership:
             membership(Zonotope(np.eye(2)), [0.0, 0.0], -1.0)
 
 
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Count the norm LPs that preprocess solves."""
+    calls = []
+    solve = zonotope.zonotope_norm
+
+    def counted(Z, x):
+        calls.append(x)
+        return solve(Z, x)
+
+    monkeypatch.setattr(zonotope, "zonotope_norm", counted)
+    return calls
+
+
 class TestPreprocess:
     def test_identity_instance_unchanged(self):
         V = np.array([[0.3, -0.4], [0.1, 0.9]])
@@ -167,13 +181,15 @@ class TestPreprocess:
         assert Z.m == 3
         assert change.dropped_generators == (2,)
 
-    def test_zero_row_drop_keeps_preimages_aligned(self):
+    def test_zero_row_drop_keeps_preimages_aligned(self, norm_calls):
         A = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         U = np.array([[0.5, 9.0, 0.25]])  # dead column may hold anything
         V = np.array([[0.5, 0.25]])
         Z, fam, _ = preprocess(A, V, U)
-        assert fam.U.shape == (1, 2)
-        assert np.allclose(Z.A.T @ fam.U[0], V[0], atol=1e-12)
+        # A misaligned column would fail the certificate and cost an LP.
+        assert Z.m == 2
+        assert norm_calls == []
+        assert np.array_equal(fam.V, V)
 
     def test_rank_reduction_preserves_norms(self):
         # A 3x3 generator matrix of rank 2; all data lives in a plane.
@@ -210,12 +226,15 @@ class TestPreprocess:
         Z, fam, _ = preprocess(np.eye(2), np.array([[3.0, 0.0]]), rescale=True)
         assert zonotope_norm(Z, fam.V[0]).value == pytest.approx(1.0, abs=1e-9)
 
-    def test_preimage_certificate_accepted(self):
+    def test_preimage_certificate_accepted(self, norm_calls):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((8, 3))
         U = rng.uniform(-1.0, 1.0, (2, 8))
         Z, fam, _ = preprocess(A, U @ A, U)
-        assert fam.U is not None
+        assert fam.n == 2
+        assert norm_calls == []
+        preprocess(A, U @ A)
+        assert len(norm_calls) == 2
 
     def test_n_exceeding_dimension_rejected(self):
         with pytest.raises(InputError):
@@ -239,15 +258,3 @@ def _norm_in_span(A_raw, x):
     sol = lp_solve(c, P, sense="max")
     assert sol.status == "optimal" and sol.objective > 1e-12
     return 1.0 / sol.objective
-
-
-class TestEnsurePreimages:
-    def test_constructs_valid_preimages(self):
-        rng = np.random.default_rng(7)
-        A = rng.standard_normal((6, 3))
-        Z = Zonotope(A)
-        V = VectorFamily((rng.uniform(-1, 1, (2, 6)) @ A) * 0.3)
-        fam = ensure_preimages(Z, V)
-        assert fam.U is not None
-        assert np.allclose(fam.U @ A, fam.V, atol=1e-8)
-        assert np.abs(fam.U).max() <= 1.0 + 1e-9
