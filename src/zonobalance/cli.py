@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coloring, lewis, verify
-from .convex import TOL_FEAS
 from .errors import InputError, NumericalError
 from .instancefile import KINDS, InstanceFile, generate_instance, parse_instance, serialize_instance
 from .seeding import run_seed
@@ -49,10 +48,6 @@ def _write(text: str, out: str | None):
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _prepared(inst: InstanceFile, rescale: bool = False, tol_feas: float = TOL_FEAS):
-    return preprocess(inst.A, inst.V, inst.U, rescale=rescale, tol_feas=tol_feas)
-
-
 def _add_instance_arg(p: argparse.ArgumentParser):
     p.add_argument("instance", nargs="?", default="-",
                    help="instance file path, or - for stdin (default)")
@@ -76,7 +71,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--c0", type=float, default=coloring.DEFAULT_C0)
     p.add_argument("--retries", type=int, default=coloring.DEFAULT_RETRIES)
-    p.add_argument("--tol-feas", type=float, default=TOL_FEAS)
     p.add_argument("--rescale", action="store_true",
                    help="rescale vectors slightly outside the body instead of rejecting")
     p.add_argument("--exact-finish", action="store_true",
@@ -93,7 +87,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lewis", help="Lewis weights and transform of the generators")
     _add_instance_arg(p)
-    p.add_argument("--tol-lewis", type=float, default=lewis.TOL_LEWIS)
     p.add_argument("--max-iter", type=int, default=lewis.MAX_ITER_LEWIS)
     p.add_argument("--out", default=None)
 
@@ -112,7 +105,6 @@ def build_parser() -> _Parser:
     _add_instance_arg(p)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-lewis", type=float, default=lewis.TOL_LEWIS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bench", help="sweep a grid of instances, one CSV row per run")
@@ -139,7 +131,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_balance(args) -> int:
     inst = _read_instance(args.instance)
-    Z, V, _ = _prepared(inst, args.rescale, args.tol_feas)
+    Z, V, _ = preprocess(inst.A, inst.V, inst.U, rescale=args.rescale)
     report = coloring.balance(Z, V, c0=args.c0, seed=args.seed,
                               retries=args.retries, exact_finish=args.exact_finish)
     oracle = verify.brute_force_min_discrepancy(Z, V) if args.oracle else None
@@ -183,7 +175,7 @@ def _cmd_norm(args) -> int:
 def _cmd_lewis(args) -> int:
     inst = _read_instance(args.instance)
     Z, _ = reduce_generators(inst.A)
-    LP = lewis.lewis_position(Z.A, tol_lewis=args.tol_lewis, max_iter=args.max_iter)
+    LP = lewis.lewis_position(Z.A, max_iter=args.max_iter)
     lines = [
         "weights: " + " ".join(repr(float(w)) for w in LP.w),
         f"sum_weights: {float(LP.w.sum())!r}",
@@ -196,7 +188,7 @@ def _cmd_lewis(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = _read_instance(args.instance)
-    Z, V, _ = _prepared(inst, args.rescale)
+    Z, V, _ = preprocess(inst.A, inst.V, inst.U, rescale=args.rescale)
     res = verify.brute_force_min_discrepancy(Z, V)
     lines = [
         f"opt: {res.opt!r}",
@@ -209,14 +201,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     inst = _read_instance(args.instance)
-    Z, V, _ = _prepared(inst)
-    rng = np.random.default_rng(args.seed)
-    max_gap = 0.0
-    for _ in range(args.trials):
-        size = int(rng.integers(1, V.n + 1))
-        S = sorted(rng.choice(V.n, size=size, replace=False).tolist())
-        gap = verify.polar_identity_check(Z, V, S, 1, rng)
-        max_gap = max(max_gap, gap)
+    Z, V, _ = preprocess(inst.A, inst.V, inst.U)
+    max_gap = verify.polar_identity_check(Z, V, None, args.trials,
+                                          np.random.default_rng(args.seed))
     _write(f"trials: {args.trials}\nmax_gap: {max_gap!r}", args.out)
     return 0
 
@@ -224,7 +211,7 @@ def _cmd_check(args) -> int:
 def _cmd_width(args) -> int:
     inst = _read_instance(args.instance)
     Z, _ = reduce_generators(inst.A)
-    LP = lewis.lewis_position(Z.A, tol_lewis=args.tol_lewis)
+    LP = lewis.lewis_position(Z.A)
     est = verify.width_estimate(LP, args.samples, np.random.default_rng(args.seed))
     _write(
         f"mean: {est.mean!r}\nstderr: {est.stderr!r}\n"

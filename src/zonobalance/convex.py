@@ -82,7 +82,7 @@ class Polyhedron:
             return False
         if np.any(z < self.lower - tol) or np.any(z > self.upper + tol):
             return False
-        if self.num_eq and np.max(np.abs(self.E @ z - self.e)) > tol * (1.0 + np.max(np.abs(self.e), initial=0.0)):
+        if np.max(np.abs(self.E @ z - self.e), initial=0.0) > tol * (1.0 + np.max(np.abs(self.e), initial=0.0)):
             return False
         return True
 
@@ -112,7 +112,6 @@ class _Simplex:
     def __init__(self, P: Polyhedron, c: np.ndarray, refactor_every: int = REFACTOR_EVERY):
         meq, n = P.num_eq, P.num_vars
         self.n_orig = n
-        self.meq = meq
         self.c_orig = c
         self.lower = np.concatenate([P.lower, np.zeros(meq)])
         self.upper = np.concatenate([P.upper, np.full(meq, np.inf)])
@@ -122,7 +121,7 @@ class _Simplex:
         # Dantzig pricing for this many pivots per phase, then Bland's rule.
         self.dantzig_limit = 20 * self.ntot + 200
         self.max_iter = 200 * self.ntot + 5000
-        self.scale_e = 1.0 + (np.max(np.abs(self.e)) if meq else 0.0)
+        self.scale_e = 1.0 + np.max(np.abs(self.e), initial=0.0)
         self.feas_tol = TOL_FEAS * self.scale_e
 
         # Start every original variable at a finite bound (0 when free).
@@ -130,55 +129,35 @@ class _Simplex:
                      np.where(np.isfinite(P.upper), P.upper, 0.0))
         status = np.where(np.isfinite(P.lower), _AT_LOWER,
                           np.where(np.isfinite(P.upper), _AT_UPPER, _FREE))
-        resid = self.e - P.E @ x if meq else np.zeros(0)
+        resid = self.e - P.E @ x
 
-        basis = np.full(meq, -1, dtype=int)
         # Crash singleton columns into the basis: a column with a single
         # nonzero row can absorb that row's residual without touching any
-        # other row, which skips one artificial pivot per such column.
-        if meq:
-            col_nnz = np.count_nonzero(P.E, axis=0)
-            taken = np.zeros(n, dtype=bool)
-            for r in range(meq):
-                cols = np.flatnonzero(P.E[r] != 0.0)
-                for j in cols:
-                    if col_nnz[j] != 1 or taken[j]:
-                        continue
-                    val = x[j] + resid[r] / P.E[r, j]
-                    if P.lower[j] - 1e-12 <= val <= P.upper[j] + 1e-12:
-                        val = min(max(val, P.lower[j]), P.upper[j])
-                        x[j] = val
-                        basis[r] = j
-                        taken[j] = True
-                        resid[r] = 0.0
-                        break
+        # other row, which skips one artificial pivot per such row.  Each
+        # row takes its lowest-index singleton whose value fits its bounds;
+        # the refactorization below computes the basic values.
+        singles = np.flatnonzero(np.count_nonzero(P.E, axis=0) == 1)
+        rows, k = np.nonzero(P.E[:, singles])  # row-major: columns ascend per row
+        cols = singles[k]
+        val = x[cols] + resid[rows] / P.E[rows, cols]
+        fits = (P.lower[cols] - 1e-12 <= val) & (val <= P.upper[cols] + 1e-12)
+        crashed, first = np.unique(rows[fits], return_index=True)
+        resid[crashed] = 0.0
 
-        art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-        E_art = np.zeros((meq, meq))
-        E_art[np.arange(meq), np.arange(meq)] = art_sign
-        self.E_full = np.hstack([P.E, E_art]) if meq else P.E.reshape(0, self.ntot)
-        x_full = np.concatenate([x, np.abs(resid)])
-        status = np.concatenate([status, np.full(meq, _AT_LOWER, dtype=int)])
-        for r in range(meq):
-            if basis[r] < 0:
-                basis[r] = n + r
-            else:
-                # Unused artificial stays pinned at zero.
-                self.upper[n + r] = 0.0
-                x_full[n + r] = 0.0
-        self.basis = basis
-        self.x = x_full
-        self.status = status
-        self.status[basis] = _BASIC
+        # Every other row starts on its artificial; those of crashed rows
+        # stay pinned at zero.
+        self.E_full = np.hstack([P.E, np.diag(np.where(resid >= 0.0, 1.0, -1.0))])
+        self.basis = n + np.arange(meq)
+        self.basis[crashed] = cols[fits][first]
+        self.upper[n + crashed] = 0.0
+        self.x = np.concatenate([x, np.abs(resid)])
+        self.status = np.concatenate([status, np.full(meq, _AT_LOWER, dtype=int)])
+        self.status[self.basis] = _BASIC
         self.pivots = 0
         self.since_refactor = 0
         self._refactor()
 
     def _refactor(self):
-        if self.meq == 0:
-            self.W = np.zeros((0, self.ntot))
-            self.since_refactor = 0
-            return
         B = self.E_full[:, self.basis]
         try:
             self.W = np.linalg.solve(B, self.E_full)
@@ -190,7 +169,7 @@ class _Simplex:
         self.since_refactor = 0
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        d = c - self.W.T @ c[self.basis] if self.meq else c.copy()
+        d = c - self.W.T @ c[self.basis]
         d[self.basis] = 0.0
         return d
 
@@ -228,20 +207,16 @@ class _Simplex:
             # Ratio test: basic variables hit a bound, or the entering
             # variable flips to its opposite bound.
             t_own = span[j] if np.isfinite(span[j]) else np.inf
-            if self.meq:
-                xb = self.x[self.basis]
-                lb = self.lower[self.basis]
-                ub = self.upper[self.basis]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t_low = np.where(delta > 1e-11, (xb - lb) / delta, np.inf)
-                    t_up = np.where(delta < -1e-11, (xb - ub) / delta, np.inf)
-                t_block = np.minimum(t_low, t_up)
-                t_block = np.where(np.isnan(t_block), np.inf, t_block)
-                np.maximum(t_block, 0.0, out=t_block)
-                t_min = float(np.min(t_block, initial=np.inf))
-            else:
-                t_block = np.zeros(0)
-                t_min = np.inf
+            xb = self.x[self.basis]
+            lb = self.lower[self.basis]
+            ub = self.upper[self.basis]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_low = np.where(delta > 1e-11, (xb - lb) / delta, np.inf)
+                t_up = np.where(delta < -1e-11, (xb - ub) / delta, np.inf)
+            t_block = np.minimum(t_low, t_up)
+            t_block = np.where(np.isnan(t_block), np.inf, t_block)
+            np.maximum(t_block, 0.0, out=t_block)
+            t_min = float(np.min(t_block, initial=np.inf))
 
             if t_own <= t_min:
                 if not np.isfinite(t_own):
@@ -277,36 +252,30 @@ class _Simplex:
             phase_pivots += 1
 
     def _residual(self) -> np.ndarray:
-        if self.meq == 0:
-            return np.zeros(0)
         return self.E_full @ self.x - self.e
 
     def solve(self) -> LpSolution:
-        n, meq = self.n_orig, self.meq
-        if meq:
-            c1 = np.zeros(self.ntot)
-            c1[n:] = 1.0
-            status = self._run_phase(c1, stop_at_feasible=True)
-            if status != "optimal":
-                raise NumericalError("phase 1 reported unbounded")
-            infeas = float(self.x[n:].sum())
-            if infeas > self.feas_tol * 10:
-                return LpSolution("infeasible", None, math.nan)
-            # Pin all artificials at zero for phase 2.
-            self.upper[n:] = 0.0
-            np.clip(self.x[n:], 0.0, None, out=self.x[n:])
-        c2 = np.concatenate([self.c_orig, np.zeros(meq)])
+        n = self.n_orig
+        c1 = np.zeros(self.ntot)
+        c1[n:] = 1.0
+        status = self._run_phase(c1, stop_at_feasible=True)
+        if status != "optimal":
+            raise NumericalError("phase 1 reported unbounded")
+        infeas = float(self.x[n:].sum())
+        if infeas > self.feas_tol * 10:
+            return LpSolution("infeasible", None, math.nan)
+        # Pin all artificials at zero for phase 2.
+        self.upper[n:] = 0.0
+        np.clip(self.x[n:], 0.0, None, out=self.x[n:])
+        c2 = np.concatenate([self.c_orig, np.zeros(self.ntot - n)])
         status = self._run_phase(c2)
         if status == "unbounded":
             return LpSolution("unbounded", None, math.nan)
         self._refactor()
         point = self.x[:n].copy()
-        resid = self._residual()
-        if resid.size and np.max(np.abs(resid)) > 100 * self.feas_tol:
-            raise NumericalError(
-                "solution failed the feasibility check",
-                residual=float(np.max(np.abs(resid))),
-            )
+        resid = float(np.max(np.abs(self._residual()), initial=0.0))
+        if resid > 100 * self.feas_tol:
+            raise NumericalError("solution failed the feasibility check", residual=resid)
         breach = float(np.max(np.maximum(self.lower - self.x, self.x - self.upper), initial=0.0))
         if breach > 100 * self.feas_tol:
             raise _BoundBreach("solution breaks a variable bound", residual=breach)
@@ -344,11 +313,8 @@ def lp_solve(objective, P: Polyhedron, sense: str = "min") -> LpSolution:
 
 def _null_space(E: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(E) for a dense E (possibly with 0 rows)."""
-    meq, n = E.shape
-    if meq == 0:
-        return np.eye(n)
     _, s, vt = np.linalg.svd(E, full_matrices=True)
-    tol = max(meq, n) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    tol = max(E.shape) * np.finfo(float).eps * np.max(s, initial=0.0)
     rank = int(np.sum(s > tol))
     return vt[rank:].T
 
@@ -442,12 +408,9 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray | None = None) -> np.
         # Subproblem optimal: verify the bound multipliers.
         grad = np.zeros(n)
         grad[:t] = rho
-        if E.shape[0]:
-            nu = np.linalg.lstsq(E[:, free_idx].T, grad[free_idx], rcond=None)[0] \
-                if free_idx.size else np.linalg.lstsq(E.T, grad, rcond=None)[0]
-            r = grad - E.T @ nu
-        else:
-            r = grad
+        nu = np.linalg.lstsq(E[:, free_idx].T, grad[free_idx], rcond=None)[0] \
+            if free_idx.size else np.linalg.lstsq(E.T, grad, rcond=None)[0]
+        r = grad - E.T @ nu
         viol = np.zeros(n)
         rem_lo = at_lo & ~fixed
         rem_up = at_up & ~fixed

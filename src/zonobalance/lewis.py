@@ -72,13 +72,12 @@ def lewis_transform(A, w, iterations: int = 0) -> LewisPosition:
                          residual=residual, iterations=iterations)
 
 
-def lewis_weights_history(A, tol_lewis: float = TOL_LEWIS,
-                          max_iter: int = MAX_ITER_LEWIS):
+def lewis_weights_history(A, *, max_iter: int = MAX_ITER_LEWIS):
     """Run the fixed-point iteration, returning (LewisPosition, residual_history).
 
     residual_history[t] is the max relative change of the weights at
     iteration t.  Convergence requires both a small relative change and
-    an isotropy residual below tol_lewis.
+    an isotropy residual below TOL_LEWIS.
     """
     A = np.asarray(A, dtype=float)
     m, d = A.shape
@@ -89,9 +88,9 @@ def lewis_weights_history(A, tol_lewis: float = TOL_LEWIS,
         rel = float(np.max(np.abs(w_new - w) / w))
         history.append(rel)
         w = w_new
-        if rel <= tol_lewis * 1e-2:
+        if rel <= TOL_LEWIS * 1e-2:
             position = lewis_transform(A, w, iterations=it)
-            if position.residual <= tol_lewis:
+            if position.residual <= TOL_LEWIS:
                 return position, history
     raise NumericalError(
         "Lewis weight iteration did not converge",
@@ -99,17 +98,16 @@ def lewis_weights_history(A, tol_lewis: float = TOL_LEWIS,
     )
 
 
-def lewis_weights(A, tol_lewis: float = TOL_LEWIS,
-                  max_iter: int = MAX_ITER_LEWIS) -> np.ndarray:
+def lewis_weights(A, *, max_iter: int = MAX_ITER_LEWIS) -> np.ndarray:
     """l1 Lewis weights of the generator matrix A (one row per generator)."""
-    return lewis_weights_history(A, tol_lewis, max_iter)[0].w
+    return lewis_weights_history(A, max_iter=max_iter)[0].w
 
 
-def lewis_position(Z: Zonotope | np.ndarray, tol_lewis: float = TOL_LEWIS,
+def lewis_position(Z: Zonotope | np.ndarray, *,
                    max_iter: int = MAX_ITER_LEWIS) -> LewisPosition:
     """Weights plus transform in one call."""
     A = Z.A if isinstance(Z, Zonotope) else np.asarray(Z, dtype=float)
-    return lewis_weights_history(A, tol_lewis, max_iter)[0]
+    return lewis_weights_history(A, max_iter=max_iter)[0]
 
 
 def k1_norm(LP: LewisPosition, x) -> float:

@@ -93,16 +93,23 @@ def polar_identity_check(Z: Zonotope, V: VectorFamily, S, trials: int,
     A = Q R and b = A w = Q z that maximum is max <R^{-T} x, z> over the
     l1 ball cut by the column span of A, ||Q z||_1 <= 1, computed by an
     independent LP over that section.
+
+    With S None each trial draws its own index set: a size uniform in
+    1..n, then that many distinct indices, then y.
     """
-    S = sorted(int(i) for i in S)
-    if not S:
-        raise InputError("index set must be nonempty")
+    if S is not None:
+        S = sorted(int(i) for i in S)
+        if not S:
+            raise InputError("index set must be nonempty")
     span_basis, R = np.linalg.qr(Z.A)
     P = _l1_ball_lp(span_basis)
-    V_S = V.V[S]
     max_gap = 0.0
     for _ in range(trials):
-        x = V_S.T @ rng.standard_normal(len(S))
+        T = S
+        if T is None:
+            size = int(rng.integers(1, V.n + 1))
+            T = sorted(rng.choice(V.n, size=size, replace=False).tolist())
+        x = V.V[T].T @ rng.standard_normal(len(T))
         lhs = zonotope_norm(Z, x).value
         rhs = _l1_ball_max(P, np.linalg.solve(R.T, x))
         max_gap = max(max_gap, abs(lhs - rhs))

@@ -188,8 +188,7 @@ def reduce_generators(A_raw) -> tuple[Zonotope, BasisChange]:
     return Zonotope(A), BasisChange(Q, dropped, d0)
 
 
-def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False,
-               tol_feas: float = TOL_FEAS):
+def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
     """Normalize a raw instance into a valid (Zonotope, VectorFamily) pair.
 
     Builds the zonotope with `reduce_generators`, maps the vectors into
@@ -240,12 +239,12 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False,
 
     for i in range(V.shape[0]):
         if U is not None and (
-            np.max(np.abs(U[i]), initial=0.0) <= 1.0 + tol_feas
+            np.max(np.abs(U[i]), initial=0.0) <= 1.0 + TOL_FEAS
             and np.linalg.norm(Z.A.T @ U[i] - V[i]) <= 1e-8
         ):
             continue
         value = zonotope_norm(Z, V[i]).value
-        if value <= 1.0 + tol_feas:
+        if value <= 1.0 + TOL_FEAS:
             continue
         if not rescale:
             raise MembershipError(i, value)

@@ -160,6 +160,22 @@ class TestSubcommands:
         fields = dict(line.split(": ", 1) for line in out.strip().splitlines())
         assert float(fields["max_gap"]) <= 1e-6
 
+    def test_check_builds_section_lp_once(self, capsys, monkeypatch, spencer6):
+        from zonobalance import verify
+
+        built = []
+        real = verify._l1_ball_lp
+
+        def counting(R):
+            built.append(R.shape)
+            return real(R)
+
+        monkeypatch.setattr(verify, "_l1_ball_lp", counting)
+        code, out, _ = run_cli(capsys, "check", spencer6, "--trials", "20")
+        assert code == 0
+        assert "trials: 20" in out
+        assert len(built) == 1
+
     def test_width_output(self, capsys, cube4):
         code, out, _ = run_cli(capsys, "width", cube4, "--samples", "30")
         assert code == 0

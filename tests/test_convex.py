@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 from zonobalance.convex import (
     Polyhedron,
+    _Simplex,
     lp_solve,
     project_polyhedron,
     psd_sqrt,
@@ -33,6 +34,56 @@ def random_polyhedron(rng, n=None):
     z = np.clip(np.zeros(n), lower + 0.25, upper - 0.25)
     e = E @ z if meq else np.zeros(0)
     return Polyhedron(n, E, e, lower, upper), z
+
+
+def sparse_polyhedron(rng):
+    """A polyhedron whose E mixes shared columns with 0-3 singleton columns
+    per row; narrow bounds keep some singletons from absorbing their row's
+    residual, some draws have no rows at all, and a fifth of the right-hand
+    sides are random, so some draws are infeasible."""
+    meq = int(rng.integers(0, 6))
+    shared = int(rng.integers(1, 4))
+    blocks = [rng.standard_normal((meq, shared)) * (rng.random((meq, shared)) < 0.7)]
+    for r in range(meq):
+        s = int(rng.integers(0, 4))
+        block = np.zeros((meq, s))
+        block[r] = rng.choice([-1.0, 1.0], s) * rng.uniform(0.5, 2.0, s)
+        blocks.append(block)
+    E = np.hstack(blocks)
+    n = E.shape[1]
+    z = rng.uniform(-1.0, 1.0, n)
+    lower = np.where(rng.random(n) < 0.2, -np.inf, z - rng.uniform(0.0, 1.0, n))
+    upper = np.where(rng.random(n) < 0.2, np.inf, z + rng.uniform(0.0, 1.0, n))
+    e = E @ z if rng.random() < 0.8 else rng.standard_normal(meq) * 3.0
+    return Polyhedron(n, E, e, lower, upper)
+
+
+def crash_by_row_scan(P):
+    """Reference crash: scan each row's columns in order and take the first
+    singleton column whose value fits its bounds.  Returns (basis, upper)
+    of the slack-augmented problem."""
+    n, meq = P.num_vars, P.num_eq
+    x = np.where(np.isfinite(P.lower), P.lower, np.where(np.isfinite(P.upper), P.upper, 0.0))
+    resid = P.e - P.E @ x
+    col_nnz = np.count_nonzero(P.E, axis=0)
+    basis = list(range(n, n + meq))
+    upper = np.concatenate([P.upper, np.full(meq, np.inf)])
+    for r in range(meq):
+        for j in np.flatnonzero(P.E[r] != 0.0):
+            val = x[j] + resid[r] / P.E[r, j]
+            if col_nnz[j] == 1 and P.lower[j] - 1e-12 <= val <= P.upper[j] + 1e-12:
+                basis[r] = int(j)
+                upper[n + r] = 0.0
+                break
+    return np.array(basis, dtype=int), upper
+
+
+def highs(c, P):
+    bounds = [(l if np.isfinite(l) else None, u if np.isfinite(u) else None)
+              for l, u in zip(P.lower, P.upper)]
+    return linprog(c, A_eq=P.E if P.num_eq else None,
+                   b_eq=P.e if P.num_eq else None,
+                   bounds=bounds, method="highs")
 
 
 class TestLpSolve:
@@ -116,11 +167,7 @@ class TestLpSolve:
             P, _ = random_polyhedron(rng)
             c = rng.standard_normal(P.num_vars)
             mine = lp_solve(c, P)
-            bounds = [(l if np.isfinite(l) else None, u if np.isfinite(u) else None)
-                      for l, u in zip(P.lower, P.upper)]
-            ref = linprog(c, A_eq=P.E if P.num_eq else None,
-                          b_eq=P.e if P.num_eq else None,
-                          bounds=bounds, method="highs")
+            ref = highs(c, P)
             if ref.status == 0:
                 assert mine.status == "optimal"
                 assert mine.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
@@ -129,6 +176,58 @@ class TestLpSolve:
                 assert mine.status == "unbounded"
             elif ref.status == 2:
                 assert mine.status == "infeasible"
+
+    def test_singleton_columns_against_reference_solver(self):
+        rng = np.random.default_rng(17)
+        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "no rows": 0, "crashed": 0}
+        for _ in range(150):
+            P = sparse_polyhedron(rng)
+            c = rng.standard_normal(P.num_vars)
+            mine = lp_solve(c, P)
+            ref = highs(c, P)
+            seen[mine.status] += 1
+            seen["no rows"] += P.num_eq == 0
+            seen["crashed"] += bool(np.any(_Simplex(P, c).basis < P.num_vars))
+            if ref.status == 0:
+                assert mine.status == "optimal"
+                assert mine.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+                assert P.contains(mine.point, tol=1e-6)
+            elif ref.status == 3:
+                assert mine.status == "unbounded"
+            elif ref.status == 2:
+                assert mine.status == "infeasible"
+        assert min(seen.values()) > 0, seen
+
+    def test_crash_basis_hand_built(self):
+        # Row 0: singleton 0 would need 5 > 1, singleton 1 fits at 10.
+        # Row 1: both columns also appear in row 2, so no singleton.
+        # Row 2: singleton 4 fits at 2.  Row 3: singletons 5 and 6 would
+        # both go negative.
+        E = np.array([[2.0, 1, 0, 0, 0, 0, 0],
+                      [0, 0, 1, 1, 0, 0, 0],
+                      [0, 0, 1, -1, -1, 0, 0],
+                      [0, 0, 0, 0, 0, 1, 3]])
+        P = Polyhedron(7, E, np.array([10.0, 1.0, -2.0, -1.0]), np.zeros(7),
+                       np.array([1.0, 10.0, np.inf, np.inf, np.inf, 1.0, 1.0]))
+        sim = _Simplex(P, np.zeros(7))
+        assert sim.basis.tolist() == [1, 8, 4, 10]
+        assert sim.upper[7:].tolist() == [0.0, np.inf, 0.0, np.inf]
+        assert sim.x[[1, 4]].tolist() == [10.0, 2.0]
+        assert lp_solve(np.zeros(7), P).status == "infeasible"
+        empty = Polyhedron(3, np.zeros((0, 3)), np.zeros(0), -np.ones(3), np.ones(3))
+        sim = _Simplex(empty, np.ones(3))
+        assert sim.basis.size == 0
+        assert sim.upper.tolist() == [1.0, 1.0, 1.0]
+        assert lp_solve(np.ones(3), empty).point.tolist() == [-1.0, -1.0, -1.0]
+
+    def test_crash_matches_row_scan(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            P = sparse_polyhedron(rng)
+            sim = _Simplex(P, np.zeros(P.num_vars))
+            basis, upper = crash_by_row_scan(P)
+            assert np.array_equal(sim.basis, basis)
+            assert np.array_equal(sim.upper, upper)
 
     def test_weak_duality_spot_check(self):
         # Any feasible point's objective bounds the optimum from above

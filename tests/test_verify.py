@@ -118,6 +118,18 @@ class TestPolarIdentity:
                 worst = max(worst, polar_identity_check(Z, V, S, 1, rng))
         assert worst <= 1e-6
 
+    def test_drawn_index_sets_match_explicit_draws(self):
+        # S=None draws each trial's index set from rng in the order the
+        # explicit loop below does, so both see the same vectors.
+        Z, V = random_zonotope_instance(4, 10, 4, seed=301)
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(12):
+            size = int(rng.integers(1, V.n + 1))
+            S = sorted(rng.choice(V.n, size=size, replace=False).tolist())
+            worst = max(worst, polar_identity_check(Z, V, S, 1, rng))
+        assert polar_identity_check(Z, V, None, 12, np.random.default_rng(5)) == worst
+
     def test_drifted_section_lp_recovers(self, monkeypatch):
         # On this instance the rank-1 tableau updates of one section LP
         # drift onto a near-singular basis, and without the re-solve the
