@@ -19,7 +19,6 @@ from .coloring import (
 )
 from .convex import LpSolution, Polyhedron, lp_solve, project_polyhedron, psd_sqrt
 from .errors import (
-    InfeasiblePolyhedronError,
     InputError,
     MembershipError,
     NumericalError,
@@ -60,9 +59,8 @@ from .zonotope import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceReport", "BasisChange", "InclusionReport",
-    "InfeasiblePolyhedronError", "InputError", "InstanceFile", "LewisPosition",
-    "LpSolution", "MembershipError", "NormResult", "NumericalError",
+    "BalanceReport", "BasisChange", "InclusionReport", "InputError", "InstanceFile",
+    "LewisPosition", "LpSolution", "MembershipError", "NormResult", "NumericalError",
     "OracleResult", "ParseError", "PartialColoringStep", "Polyhedron",
     "RoundRecord", "SpanError", "VectorFamily", "WidthEstimate", "Zonotope",
     "ZonobalanceError", "balance", "bound_report",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePolyhedronError, NumericalError
+from .errors import NumericalError
 
 # Global tolerance.  Everything downstream derives from it.
 TOL_FEAS = 1e-9
@@ -65,6 +65,8 @@ class Polyhedron:
             raise ValueError("bound vectors must have num_vars entries")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise ValueError("a lower bound of +inf or an upper bound of -inf admits no value")
         if not np.all(np.isfinite(E)) or not np.all(np.isfinite(e)):
             raise ValueError("E and e must be finite")
         for arr, name in ((E, "E"), (e, "e"), (lower, "lower"), (upper, "upper")):
@@ -206,7 +208,7 @@ class _Simplex:
             delta = sigma * col
             # Ratio test: basic variables hit a bound, or the entering
             # variable flips to its opposite bound.
-            t_own = span[j] if np.isfinite(span[j]) else np.inf
+            t_own = span[j]
             xb = self.x[self.basis]
             lb = self.lower[self.basis]
             ub = self.upper[self.basis]
@@ -226,8 +228,6 @@ class _Simplex:
                 self.x[j] = self.upper[j] if sigma > 0 else self.lower[j]
                 self.status[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
             else:
-                if not np.isfinite(t_min):
-                    return "unbounded"
                 ties = np.flatnonzero(t_block <= t_min + 1e-15)
                 p = int(ties[np.argmin(self.basis[ties])])
                 piv = self.W[p, j]
@@ -312,14 +312,14 @@ def lp_solve(objective, P: Polyhedron, sense: str = "min") -> LpSolution:
 
 
 def _null_space(E: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(E) for a dense E (possibly with 0 rows)."""
+    """Orthonormal basis of ker(E) for a dense E (possibly with 0 rows or columns)."""
     _, s, vt = np.linalg.svd(E, full_matrices=True)
     tol = max(E.shape) * np.finfo(float).eps * np.max(s, initial=0.0)
     rank = int(np.sum(s > tol))
     return vt[rank:].T
 
 
-def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray | None = None) -> np.ndarray:
+def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     """Euclidean projection of g onto P by a primal active-set method.
 
     `g` may be shorter than P.num_vars: trailing variables are costless
@@ -327,8 +327,8 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray | None = None) -> np.
     len(g) coordinates enter the squared distance.  The full point is
     returned; slice off the target block as needed.
 
-    Raises InfeasiblePolyhedronError when P is empty and NumericalError
-    when the active-set loop fails to converge.
+    The walk starts from `z0`, which must lie in P (ValueError if not).
+    Raises NumericalError when the active-set loop fails to converge.
     """
     g = _as_vector(g, "g")
     n = P.num_vars
@@ -337,15 +337,9 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray | None = None) -> np.
         raise ValueError("g has more entries than the polyhedron has variables")
     max_iter = 60 * n + 600
 
-    if z0 is None:
-        feas = lp_solve(np.zeros(n), P)
-        if feas.status != "optimal":
-            raise InfeasiblePolyhedronError("cannot project onto an empty polyhedron")
-        z = feas.point.copy()
-    else:
-        z = _as_vector(z0, "z0").copy()
-        if not P.contains(z, tol=1e-7):
-            raise ValueError("provided starting point is not feasible")
+    z = _as_vector(z0, "z0").copy()
+    if not P.contains(z, tol=1e-7):
+        raise ValueError("provided starting point is not feasible")
     np.clip(z, P.lower, P.upper, out=z)
 
     E, lower, upper = P.E, P.lower, P.upper
@@ -364,19 +358,12 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray | None = None) -> np.
         free_idx = np.flatnonzero(~working)
         rho = z[:t] - g
 
-        if free_idx.size:
-            N = _null_space(E[:, free_idx])
-            target_rows = free_idx < t
-            M = N[target_rows]
-            if M.shape[1] == 0 or M.size == 0:
-                p_free = np.zeros(free_idx.size)
-            else:
-                xi = np.linalg.lstsq(M, -rho[free_idx[target_rows]], rcond=None)[0]
-                p_free = N @ xi
-        else:
-            p_free = np.zeros(0)
+        # Least-squares step in ker(E_free); numpy gives 0 on empty shapes.
+        N = _null_space(E[:, free_idx])
+        target = free_idx < t
+        p_free = N @ np.linalg.lstsq(N[target], -rho[free_idx[target]], rcond=None)[0]
 
-        if free_idx.size and np.max(np.abs(p_free), initial=0.0) > tol_step:
+        if np.max(np.abs(p_free), initial=0.0) > tol_step:
             with np.errstate(divide="ignore", invalid="ignore"):
                 tau_up = np.where(p_free > 1e-13,
                                   (upper[free_idx] - z[free_idx]) / p_free, np.inf)
@@ -388,15 +375,13 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray | None = None) -> np.
             step = min(1.0, tau_min)
             z[free_idx] += step * p_free
             if tau_min <= 1.0 + 1e-12:
-                blockers = np.flatnonzero(tau <= tau_min * (1.0 + 1e-10) + 1e-15)
-                for b in blockers:
-                    i = int(free_idx[b])
-                    if p_free[b] > 0:
-                        z[i] = upper[i]
-                        at_up[i] = True
-                    else:
-                        z[i] = lower[i]
-                        at_lo[i] = True
+                blocked = tau <= tau_min * (1.0 + 1e-10) + 1e-15
+                hit_up = free_idx[blocked & (p_free > 0)]
+                hit_lo = free_idx[blocked & (p_free <= 0)]
+                z[hit_up] = upper[hit_up]
+                at_up[hit_up] = True
+                z[hit_lo] = lower[hit_lo]
+                at_lo[hit_lo] = True
             zero_steps = zero_steps + 1 if step <= tol_step else 0
             if zero_steps > n + 10:
                 raise NumericalError(

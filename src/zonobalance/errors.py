@@ -49,7 +49,3 @@ class NumericalError(ZonobalanceError):
             message = f"{message} (residual {residual:.3e})"
         super().__init__(message)
         self.residual = residual
-
-
-class InfeasiblePolyhedronError(InputError):
-    """Projection was requested onto an empty polyhedron."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import psd_sqrt
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 from .zonotope import Zonotope
 
 TOL_LEWIS = 1e-8
@@ -79,6 +79,8 @@ def lewis_weights_history(A, *, max_iter: int = MAX_ITER_LEWIS):
     iteration t.  Convergence requires both a small relative change and
     an isotropy residual below TOL_LEWIS.
     """
+    if max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, got {max_iter}")
     A = np.asarray(A, dtype=float)
     m, d = A.shape
     w = np.full(m, d / m)
@@ -92,10 +94,7 @@ def lewis_weights_history(A, *, max_iter: int = MAX_ITER_LEWIS):
             position = lewis_transform(A, w, iterations=it)
             if position.residual <= TOL_LEWIS:
                 return position, history
-    raise NumericalError(
-        "Lewis weight iteration did not converge",
-        residual=history[-1] if history else None,
-    )
+    raise NumericalError("Lewis weight iteration did not converge", residual=history[-1])
 
 
 def lewis_weights(A, *, max_iter: int = MAX_ITER_LEWIS) -> np.ndarray:

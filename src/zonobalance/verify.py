@@ -97,6 +97,8 @@ def polar_identity_check(Z: Zonotope, V: VectorFamily, S, trials: int,
     With S None each trial draws its own index set: a size uniform in
     1..n, then that many distinct indices, then y.
     """
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
     if S is not None:
         S = sorted(int(i) for i in S)
         if not S:

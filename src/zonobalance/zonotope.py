@@ -158,6 +158,19 @@ class BasisChange:
     def to_reduced(self, x_orig) -> np.ndarray:
         return self.Q.T @ np.asarray(x_orig, dtype=float)
 
+    def rows_to_reduced(self, X) -> np.ndarray:
+        """Reduced coordinates X Q of the rows of X; raises SpanError naming
+        the first row whose residual off the span exceeds TOL_SPAN."""
+        X = np.asarray(X, dtype=float)
+        X_red = X @ self.Q
+        resid = np.linalg.norm(X - X_red @ self.Q.T, axis=1)
+        outside = np.flatnonzero(resid > TOL_SPAN * (1.0 + np.linalg.norm(X, axis=1)))
+        if outside.size:
+            i = int(outside[0])
+            raise SpanError(f"vector {i} lies outside the span of the generators "
+                            f"(residual {resid[i]:.3e})")
+        return X_red
+
 
 def reduce_generators(A_raw) -> tuple[Zonotope, BasisChange]:
     """Build the zonotope of raw generators: drop zero rows and, when A is
@@ -221,15 +234,7 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
     if U is not None:
         U = np.delete(U, change.dropped_generators, axis=1)
     if change.reduced_d < change.original_d:
-        Q = change.Q
-        for i in range(V.shape[0]):
-            resid = np.linalg.norm(V[i] - Q @ (Q.T @ V[i]))
-            if resid > TOL_SPAN * (1.0 + np.linalg.norm(V[i])):
-                raise SpanError(
-                    f"vector {i} lies outside the span of the generators "
-                    f"(residual {resid:.3e})"
-                )
-        V = V @ Q
+        V = change.rows_to_reduced(V)
 
     if V.shape[0] > Z.d:
         raise InputError(

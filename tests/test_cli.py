@@ -129,6 +129,24 @@ class TestExitCodes:
         assert code == 1
         assert "c0" in err or "retries" in err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("check", ("--trials", "0")),
+        ("check", ("--trials", "-3")),
+        ("lewis", ("--max-iter", "0")),
+    ])
+    def test_count_below_one_exits_one(self, capsys, spencer6, command, flags):
+        code, _, err = run_cli(capsys, command, spencer6, *flags)
+        assert code == 1
+        assert "at least 1" in err
+
+    def test_norm_outside_generator_span_exits_one(self, capsys, monkeypatch):
+        # The generators span the first two axes only.
+        text = "3 3 1\n1 0 0\n0 1 0\n2 0 0\n0 0 1\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run_cli(capsys, "norm", "-", "--x", "0 0 1")
+        assert code == 1
+        assert "outside the span" in err
+
     def test_exact_finish_scale_is_capped(self, capsys, cube4):
         # Covering this increment from c0 = 1e-12 takes 39 doublings,
         # past the MAX_DOUBLINGS = 24 every round obeys.
@@ -225,6 +243,14 @@ class TestBench:
         for row in lines[2:]:
             assert len(row.split(",")) == 12
 
+    def test_bytes_independent_of_blas_threads(self):
+        argv = ("-m", "zonobalance", "bench", "--d-list", "16,64", "--seeds", "1")
+        pinned = run_python(*argv, OPENBLAS_NUM_THREADS="1")
+        default = run_python(*argv, OPENBLAS_NUM_THREADS=None)
+        assert pinned.returncode == 0, pinned.stderr
+        assert default.returncode == 0, default.stderr
+        assert pinned.stdout == default.stdout
+
     def test_oracle_column_filled(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--kinds", "cube",
                                "--d-list", "4", "--seeds", "1",
@@ -237,12 +263,14 @@ class TestBench:
 SRC = str(Path(zonobalance.__file__).resolve().parents[1])
 
 
-def run_python(*args, stdin=None):
+def run_python(*args, stdin=None, **env):
     """Run this interpreter in a fresh process with the package's source first
-    on PYTHONPATH."""
+    on PYTHONPATH.  `env` entries override the inherited environment; a None
+    value removes the variable."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    full = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True,
+                          env={k: v for k, v in full.items() if v is not None}, timeout=120)
 
 
 class TestInstalledEntryPoint:

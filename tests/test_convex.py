@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
+from zonobalance import convex
+from zonobalance.coloring import _lift
 from zonobalance.convex import (
     Polyhedron,
     _Simplex,
@@ -11,7 +13,8 @@ from zonobalance.convex import (
     project_polyhedron,
     psd_sqrt,
 )
-from zonobalance.errors import InfeasiblePolyhedronError, NumericalError
+from zonobalance.errors import NumericalError
+from zonobalance.zonotope import Zonotope
 
 
 def box(lower, upper, E=None, e=None):
@@ -84,6 +87,33 @@ def highs(c, P):
     return linprog(c, A_eq=P.E if P.num_eq else None,
                    b_eq=P.e if P.num_eq else None,
                    bounds=bounds, method="highs")
+
+
+def slsqp_projection(g, P, z0):
+    """Reference projection: scipy SLSQP on 0.5 |z[:t] - g|^2 over P."""
+    t = g.shape[0]
+    bounds = [(l if np.isfinite(l) else None, u if np.isfinite(u) else None)
+              for l, u in zip(P.lower, P.upper)]
+    res = minimize(lambda z: 0.5 * np.sum((z[:t] - g) ** 2), z0,
+                   jac=lambda z: np.concatenate([z[:t] - g, np.zeros(P.num_vars - t)]),
+                   method="SLSQP", bounds=bounds,
+                   constraints=[{"type": "eq", "fun": lambda z: P.E @ z - P.e,
+                                 "jac": lambda z: P.E}],
+                   options={"ftol": 1e-14, "maxiter": 1000})
+    assert res.success, res.message
+    return res.x
+
+
+class TestPolyhedron:
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.inf, 0.0], [np.inf, 5.0]),
+        ([-np.inf, 0.0], [-np.inf, 5.0]),
+    ])
+    def test_infinite_bound_on_the_wrong_side_rejected(self, lower, upper):
+        # Such a bound admits no point; the simplex would start the
+        # variable at 0, outside its bounds.
+        with pytest.raises(ValueError, match="inf"):
+            Polyhedron(2, [[1.0, 1.0]], [1.0], lower, upper)
 
 
 class TestLpSolve:
@@ -248,32 +278,26 @@ class TestLpSolve:
 class TestProjection:
     def test_point_already_inside(self):
         P, z = random_polyhedron(np.random.default_rng(2), n=6)
-        out = project_polyhedron(z, P)
+        out = project_polyhedron(z, P, z0=z)
         assert np.allclose(out, z, atol=1e-7)
 
     def test_box_clamp(self):
         P = box([-1.0, -1.0], [1.0, 1.0])
-        out = project_polyhedron(np.array([2.0, 0.0]), P)
+        out = project_polyhedron(np.array([2.0, 0.0]), P, z0=np.zeros(2))
         assert np.allclose(out, [1.0, 0.0], atol=1e-9)
 
     def test_hyperplane_closed_form(self):
         P = Polyhedron(2, np.array([[1.0, 1.0]]), np.array([1.0]),
                        np.full(2, -np.inf), np.full(2, np.inf))
-        out = project_polyhedron(np.array([2.0, 2.0]), P)
+        out = project_polyhedron(np.array([2.0, 2.0]), P, z0=np.array([1.0, 0.0]))
         assert np.allclose(out, [0.5, 0.5], atol=1e-9)
-
-    def test_infeasible_distinct_error(self):
-        P = Polyhedron(1, np.array([[1.0]]), np.array([2.0]),
-                       np.array([0.0]), np.array([1.0]))
-        with pytest.raises(InfeasiblePolyhedronError):
-            project_polyhedron(np.array([0.0]), P)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
-            P, _ = random_polyhedron(rng)
+            P, z_feas = random_polyhedron(rng)
             g = rng.standard_normal(P.num_vars) * 2.0
-            z = project_polyhedron(g, P)
+            z = project_polyhedron(g, P, z0=z_feas)
             z2 = project_polyhedron(z, P, z0=z)
             d1 = float(np.sum((z - g) ** 2))
             d2 = float(np.sum((z2 - z) ** 2))
@@ -287,7 +311,7 @@ class TestProjection:
             P, z_feas = random_polyhedron(rng, n=8)
             t = int(rng.integers(1, P.num_vars + 1))
             g = rng.standard_normal(t) * 2.0
-            x = project_polyhedron(g, P)
+            x = project_polyhedron(g, P, z0=z_feas)
             for _ in range(100):
                 sol = lp_solve(rng.standard_normal(P.num_vars), P)
                 z = sol.point if sol.status == "optimal" else z_feas
@@ -299,8 +323,55 @@ class TestProjection:
         # unconstrained projection of g onto the interval.
         P = Polyhedron(2, np.array([[1.0, -1.0]]), np.array([0.0]),
                        np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
-        out = project_polyhedron(np.array([5.0]), P)
+        out = project_polyhedron(np.array([5.0]), P, z0=np.zeros(2))
         assert out[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_against_slsqp_on_lifts(self):
+        # Small partial-coloring lifts: target block a, auxiliaries u.
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            d = int(rng.integers(2, 5))
+            m = int(rng.integers(d, 2 * d + 1))
+            k = int(rng.integers(1, d + 1))
+            A = rng.standard_normal((m, d))
+            V_S = rng.uniform(-1.0, 1.0, (k, m)) @ A
+            y = rng.uniform(-0.9, 0.9, k)
+            P = _lift(Zonotope(A), V_S, -1.0 - y, 1.0 - y, float(rng.uniform(0.3, 2.0)))
+            g = 2.0 * rng.standard_normal(k)
+            z = project_polyhedron(g, P, z0=np.zeros(k + m))
+            assert P.contains(z)
+            ref = slsqp_projection(g, P, np.zeros(k + m))
+            assert np.max(np.abs(z[:k] - ref[:k])) <= 1e-6
+
+    def test_against_slsqp_on_random_polyhedra(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            P, z_feas = random_polyhedron(rng)
+            t = int(rng.integers(1, P.num_vars + 1))
+            g = 2.0 * rng.standard_normal(t)
+            z = project_polyhedron(g, P, z0=z_feas)
+            assert P.contains(z)
+            ref = slsqp_projection(g, P, z_feas)
+            assert np.max(np.abs(z[:t] - ref[:t])) <= 1e-6
+
+    def test_bound_release(self, monkeypatch):
+        # Two bounds block the walk from 0, then the multiplier check
+        # releases one of them: the free set grows between two steps.
+        P = Polyhedron(4, [[-0.6, 0.3, 0.0, -0.2], [-0.1, 1.0, 1.3, -0.2]], [0.0, 0.0],
+                       [-1.0, -1.9, -0.3, -1.8], [1.1, 0.3, 1.0, 1.1])
+        g = np.array([4.3, 3.2, 3.7, -1.5])
+        free_cols = []
+        null_space = convex._null_space
+
+        def spy(E):
+            free_cols.append(E.shape[1])
+            return null_space(E)
+
+        monkeypatch.setattr(convex, "_null_space", spy)
+        z = project_polyhedron(g, P, z0=np.zeros(4))
+        assert any(b > a for a, b in zip(free_cols, free_cols[1:])), free_cols
+        assert P.contains(z)
+        assert np.max(np.abs(z - slsqp_projection(g, P, np.zeros(4)))) <= 1e-6
 
 
 class TestPsdSqrt:

@@ -11,6 +11,7 @@ from zonobalance.zonotope import (
     membership,
     polar_norm,
     preprocess,
+    reduce_generators,
     zonotope_norm,
 )
 
@@ -216,6 +217,32 @@ class TestPreprocess:
         A = np.vstack([A, A])  # rank 2 in ambient dimension 3
         with pytest.raises(SpanError):
             preprocess(A, np.array([[0.0, 0.0, 1.0]]))
+
+    def test_span_rule_matches_row_loop(self):
+        # Reference: the per-vector residual test, one row at a time.
+        def first_outside(V, Q):
+            for i in range(V.shape[0]):
+                resid = np.linalg.norm(V[i] - Q @ (Q.T @ V[i]))
+                if resid > zonotope.TOL_SPAN * (1.0 + np.linalg.norm(V[i])):
+                    return i
+            return None
+
+        rng = np.random.default_rng(9)
+        normal = np.array([0.0, 0.0, 1.0])
+        A = rng.standard_normal((4, 2)) @ np.eye(2, 3)  # spans the first two axes
+        _, change = reduce_generators(A)
+        outcomes = set()
+        for _ in range(200):
+            V = rng.standard_normal((4, 3)) * [1.0, 1.0, 0.0]
+            V += np.outer(10.0 ** rng.uniform(-10, -6, 4), normal)
+            expected = first_outside(V, change.Q)
+            outcomes.add(expected)
+            if expected is None:
+                assert np.array_equal(change.rows_to_reduced(V), V @ change.Q)
+            else:
+                with pytest.raises(SpanError, match=f"vector {expected} "):
+                    change.rows_to_reduced(V)
+        assert None in outcomes and len(outcomes) > 2
 
     def test_vector_outside_body_rejected_with_index(self):
         with pytest.raises(MembershipError) as exc:
