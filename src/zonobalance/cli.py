@@ -239,6 +239,8 @@ class BenchSpec:
 
 def bench_specs(kinds: list[str], d_list: list[int], seeds: int,
                 master_seed: int, m_factor: int) -> list[BenchSpec]:
+    if seeds < 1:
+        raise InputError(f"seeds must be at least 1, got {seeds}")
     specs = []
     index = 0
     for kind in kinds:

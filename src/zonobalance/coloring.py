@@ -78,25 +78,35 @@ def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
 
     Without `offset` (the k <= 2 endpoint of a partial coloring) a
     completion fixes at least half the coordinates and the smallest
-    increment wins; with it (the exact finish of `balance`) every
-    coordinate becomes a sign and the smallest ||offset + sum_i x_i v_i||
-    wins.  The scale doubles from c0 until it covers the increment.
+    increment wins; a completion that moves one coordinate i has the
+    increment |y_i - x_i| ||v_i||, so each vector's gauge is solved once.
+    With `offset` (the exact finish of `balance`) every coordinate
+    becomes a sign and the smallest ||offset + sum_i x_i v_i|| wins.  The
+    scale doubles from c0 until it covers the increment.
     """
     k = y.shape[0]
     if offset is None:
         choices, need = (1.0, -1.0, None), (k + 1) // 2
     else:
         choices, need = (-1.0, 1.0), k
+    unit: dict[int, float] = {}  # ||v_i||, solved on first use
     best = None
     for pattern in itertools.product(choices, repeat=k):
-        fixed = sum(1 for p in pattern if p is not None)
-        if fixed < need:
+        moved = [i for i in range(k) if pattern[i] is not None]
+        if len(moved) < need:
             continue
         y_new = np.array([y[i] if pattern[i] is None else pattern[i] for i in range(k)])
-        target = V.V.T @ (y - y_new) if offset is None else offset + V.V.T @ y_new
-        val = zonotope_norm(Z, target).value
+        if offset is not None:
+            val = zonotope_norm(Z, offset + V.V.T @ y_new).value
+        elif len(moved) == 1:
+            i = moved[0]
+            if i not in unit:
+                unit[i] = zonotope_norm(Z, V.V[i]).value
+            val = float(abs(y[i] - y_new[i])) * unit[i]
+        else:
+            val = zonotope_norm(Z, V.V.T @ (y - y_new)).value
         if best is None or val < best[0]:
-            best = (val, y_new, fixed)
+            best = (val, y_new, len(moved))
     val, y_new, fixed = best
     inc = val if offset is None else zonotope_norm(Z, V.V.T @ (y - y_new)).value
     scales = _doubled_scales(k, Z.d, c0, lambda: f"increment {inc!r} exceeds every round scale")

@@ -29,7 +29,7 @@ def brute_force_min_discrepancy(Z: Zonotope, V: VectorFamily) -> OracleResult:
     """Exact minimum discrepancy over all sign vectors.
 
     Enumerates half the sign cube (x and -x give the same norm) and
-    evaluates every signed sum with the norm LP.  Ties resolve to the
+    evaluates the gauge of every signed sum.  Ties resolve to the
     lexicographically smallest sign vector, counting -1 < +1.
     """
     n = V.n

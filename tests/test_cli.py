@@ -139,6 +139,16 @@ class TestExitCodes:
         assert code == 1
         assert "at least 1" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--seeds", "0"),
+        ("--seeds", "-2", "--d-list", "4"),
+    ])
+    def test_bench_seeds_below_one_exits_one(self, capsys, flags):
+        code, out, err = run_cli(capsys, "bench", *flags)
+        assert code == 1
+        assert out == ""
+        assert "at least 1" in err
+
     def test_norm_outside_generator_span_exits_one(self, capsys, monkeypatch):
         # The generators span the first two axes only.
         text = "3 3 1\n1 0 0\n0 1 0\n2 0 0\n0 0 1\n"

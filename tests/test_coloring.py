@@ -1,5 +1,6 @@
 """Tests for coordinate-body lifts, partial coloring, and the driver."""
 
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,54 @@ class TestPartialColoring:
             assert step.tight_gained >= 5
             assert step.increment <= step.scale_used
             assert np.abs(step.y_new).max() <= 1.0
+
+
+def all_patterns_endpoint(Z, V, y):
+    """The k <= 2 endpoint with one gauge LP per completion: the first
+    completion of least increment among those fixing half the coordinates."""
+    k = y.shape[0]
+    best = None
+    for pattern in itertools.product((1.0, -1.0, None), repeat=k):
+        fixed = sum(1 for p in pattern if p is not None)
+        if fixed < (k + 1) // 2:
+            continue
+        y_new = np.array([y[i] if pattern[i] is None else pattern[i] for i in range(k)])
+        val = zonotope_norm(Z, V.V.T @ (y - y_new)).value
+        if best is None or val < best[0]:
+            best = (val, y_new, fixed)
+    return best
+
+
+class TestEndpoint:
+    def test_matches_all_patterns_loop(self, monkeypatch):
+        calls = []
+        norm = coloring.zonotope_norm
+
+        def counted(Z, x):
+            calls.append(1)
+            return norm(Z, x)
+
+        monkeypatch.setattr(coloring, "zonotope_norm", counted)
+        rng = np.random.default_rng(21)
+        draws = {1: 0, 2: 0}
+        for body in range(40):
+            d = int(rng.integers(2, 7))
+            k = 1 + body % 2
+            Z, V = random_zonotope_instance(d, 4 * d, k, seed=body)
+            for draw in range(5):
+                # Some draws start at zero, where the two signs of a
+                # coordinate tie and the first pattern must win.
+                y = np.zeros(k) if draw == 0 else rng.uniform(-1.0, 1.0, k)
+                val, y_ref, fixed = all_patterns_endpoint(Z, V, y)
+                calls.clear()
+                step = partial_coloring(Z, V, y, rng=np.random.default_rng(0))
+                assert len(calls) == {1: 1, 2: 6}[k]
+                assert np.array_equal(step.y_new, y_ref)
+                assert step.tight_gained == fixed
+                assert type(step.increment) is float  # its repr is printed
+                assert step.increment == pytest.approx(val, rel=1e-12, abs=1e-12)
+                draws[k] += 1
+        assert draws == {1: 100, 2: 100}
 
 
 class TestBalance:

@@ -34,6 +34,22 @@ def random_zonotope_instance(d, m, n, seed):
     return Zonotope(A), VectorFamily(U @ A)
 
 
+def highs_gauge(A, x):
+    """min t s.t. A^T u = x, -t <= u_j <= t, solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    m, d = A.shape
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    A_ub = np.block([[np.eye(m), -np.ones((m, 1))],
+                     [-np.eye(m), -np.ones((m, 1))]])
+    ref = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * m),
+                  A_eq=np.hstack([A.T, np.zeros((d, 1))]), b_eq=x,
+                  bounds=[(None, None)] * (m + 1), method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
 class TestOracle:
     def test_duplicated_cancels(self):
         Z = Zonotope(np.eye(2))
@@ -137,14 +153,12 @@ class TestPolarIdentity:
         # 1.31448 for a gauge of 1.30029.  The spy shows that the
         # refactor-every-pivot re-solve runs; HiGHS recomputes each gauge
         # independently.
-        from scipy.optimize import linprog
-
         refactor_periods = []
 
         class SpySimplex(convex._Simplex):
-            def __init__(self, P, c, refactor_every=convex._Simplex.REFACTOR_EVERY):
+            def __init__(self, P, c, refactor_every=convex._Simplex.REFACTOR_EVERY, **start):
                 refactor_periods.append(refactor_every)
-                super().__init__(P, c, refactor_every)
+                super().__init__(P, c, refactor_every, **start)
 
         monkeypatch.setattr(convex, "_Simplex", SpySimplex)
         rs = run_seed(3, 72)
@@ -155,20 +169,34 @@ class TestPolarIdentity:
                                    np.random.default_rng(run_seed(rs, 1)))
         assert gap <= 1e-6
         assert 1 in refactor_periods
-        m = Z.m
         rng = np.random.default_rng(run_seed(rs, 1))  # the check's y stream
         for _ in range(4):
             x = V.V.T @ rng.standard_normal(16)
-            # min t s.t. A^T u = x, -t <= u_j <= t
-            c = np.zeros(m + 1)
-            c[m] = 1.0
-            A_ub = np.block([[np.eye(m), -np.ones((m, 1))],
-                             [-np.eye(m), -np.ones((m, 1))]])
-            ref = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * m),
-                          A_eq=np.hstack([Z.A.T, np.zeros((Z.d, 1))]), b_eq=x,
-                          bounds=[(None, None)] * (m + 1), method="highs")
-            assert ref.status == 0
-            assert zonotope_norm(Z, x).value == pytest.approx(ref.fun, abs=1e-6)
+            assert zonotope_norm(Z, x).value == pytest.approx(highs_gauge(Z.A, x), abs=1e-6)
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_gauge_matches_highs_on_tall_bodies(self, factor):
+        # m = 2d and m = 4d bodies take the LP path with its sign-guided
+        # start: Gaussian generators, and the +-1/sqrt(d) generators of
+        # the bench grid, at the gauges of signed and fractional sums.
+        worst = 0.0
+        for d in (3, 8, 16, 32):
+            for kind, seed in (("gaussian", d), ("random-zonotope", d + 1)):
+                if kind == "gaussian":
+                    Z, V = random_zonotope_instance(d, factor * d, d, seed=seed)
+                else:
+                    inst = generate_instance(kind, d, factor * d, d,
+                                             np.random.default_rng(seed))
+                    Z, V, _ = preprocess(inst.A, inst.V, inst.U)
+                rng = np.random.default_rng(seed)
+                for y in (rng.choice([-1.0, 1.0], d), rng.uniform(-1.0, 1.0, d)):
+                    x = V.V.T @ y
+                    res = zonotope_norm(Z, x)
+                    ref = highs_gauge(Z.A, x)
+                    worst = max(worst, abs(res.value - ref) / ref)
+                    assert np.max(np.abs(Z.A.T @ res.preimage - x)) <= 1e-8 * (1.0 + ref)
+                    assert np.max(np.abs(res.preimage)) <= res.value * (1.0 + 1e-9)
+        assert worst <= 1e-8
 
 
 class TestWidth:

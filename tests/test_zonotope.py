@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from zonobalance import zonotope
-from zonobalance.errors import InputError, MembershipError, SpanError
+from zonobalance import coloring, convex, zonotope
+from zonobalance.errors import InputError, MembershipError, NumericalError, SpanError
+from zonobalance.instancefile import generate_instance
 from zonobalance.zonotope import (
     VectorFamily,
     Zonotope,
@@ -86,6 +87,90 @@ class TestNorm:
         for _ in range(10):
             x = rng.standard_normal(3)
             assert zonotope_norm(Z, x).value == zonotope_norm(Z, -x).value
+
+
+def highs_gauge(A, x):
+    """min t s.t. A^T u = x, -t <= u_j <= t, solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    m, d = A.shape
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    A_ub = np.block([[np.eye(m), -np.ones((m, 1))],
+                     [-np.eye(m), -np.ones((m, 1))]])
+    ref = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * m),
+                  A_eq=np.hstack([A.T, np.zeros((d, 1))]), b_eq=x,
+                  bounds=[(None, None)] * (m + 1), method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+def square_bodies():
+    """(A, condition number) for random invertible A with d = 1..64, signed
+    permutation matrices, and matrices conditioned up to 1e6."""
+    rng = np.random.default_rng(12)
+    for d in range(1, 65):
+        A = rng.standard_normal((d, d))
+        yield A, np.linalg.cond(A)
+    for d in (1, 2, 7, 16, 64):
+        yield np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], (d, 1)), 1.0
+    for d, cond in ((3, 1e2), (8, 1e4), (16, 1e6), (40, 1e6)):
+        Q1 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        Q2 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        yield (Q1 * np.logspace(0.0, -np.log10(cond), d)) @ Q2.T, cond
+
+
+class TestSquareClosedForm:
+    def test_preimage_value_and_symmetry(self):
+        rng = np.random.default_rng(13)
+        for A, _ in square_bodies():
+            Z, d = Zonotope(A), A.shape[1]
+            for _ in range(3):
+                x = rng.standard_normal(d)
+                res = zonotope_norm(Z, x)
+                assert res.preimage.shape == (d,)
+                assert np.max(np.abs(A.T @ res.preimage - x)) <= 1e-8 * (1.0 + np.abs(x).max())
+                assert np.max(np.abs(res.preimage)) == res.value
+                neg = zonotope_norm(Z, -x)
+                assert neg.value == res.value
+                assert np.array_equal(neg.preimage, -res.preimage)
+            zero = zonotope_norm(Z, np.zeros(d))
+            assert zero.value == 0.0 and np.array_equal(zero.preimage, np.zeros(d))
+
+    def test_overflowing_preimage_raises(self):
+        # The preimage 1e400 overflows to inf, which no residual check passes.
+        with pytest.raises(NumericalError):
+            zonotope_norm(Zonotope([[1e-200]]), [1e200])
+
+    def test_against_highs_and_the_square_lp(self):
+        # Both references solve the gauge LP; the LP is built here with
+        # lp_solve, as zonotope_norm built it for every body before.
+        rng = np.random.default_rng(14)
+        for A, cond in square_bodies():
+            Z, d = Zonotope(A), A.shape[1]
+            for _ in range(2):
+                x = rng.standard_normal(d)
+                value = zonotope_norm(Z, x).value
+                tol = 1e-12 * cond * value
+                assert value == pytest.approx(highs_gauge(A, x), abs=tol)
+                assert value == pytest.approx(_norm_in_span(A, x), abs=tol)
+
+    def test_spencer_preprocess_and_balance_build_no_lp(self, monkeypatch, norm_calls):
+        built = []
+
+        class SpySimplex(convex._Simplex):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0].num_vars)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(convex, "_Simplex", SpySimplex)
+        inst = generate_instance("spencer-random", 16, None, 16, np.random.default_rng(15))
+        assert inst.U is None
+        Z, V, _ = preprocess(inst.A, inst.V, inst.U)
+        assert len(norm_calls) == 16
+        rep = coloring.balance(Z, V, seed=15)
+        assert set(np.abs(rep.signs)) == {1}
+        assert built == []
 
 
 class TestPolarNorm:
