@@ -87,9 +87,9 @@ def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
     k = y.shape[0]
     if offset is None:
         choices, need = (1.0, -1.0, None), (k + 1) // 2
+        unit = [zonotope_norm(Z, v).value for v in V.V]  # ||v_i||
     else:
         choices, need = (-1.0, 1.0), k
-    unit: dict[int, float] = {}  # ||v_i||, solved on first use
     best = None
     for pattern in itertools.product(choices, repeat=k):
         moved = [i for i in range(k) if pattern[i] is not None]
@@ -100,8 +100,6 @@ def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
             val = zonotope_norm(Z, offset + V.V.T @ y_new).value
         elif len(moved) == 1:
             i = moved[0]
-            if i not in unit:
-                unit[i] = zonotope_norm(Z, V.V[i]).value
             val = float(abs(y[i] - y_new[i])) * unit[i]
         else:
             val = zonotope_norm(Z, V.V.T @ (y - y_new)).value

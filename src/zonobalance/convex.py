@@ -111,8 +111,7 @@ class _Simplex:
 
     REFACTOR_EVERY = 128
 
-    def __init__(self, P: Polyhedron, c: np.ndarray, refactor_every: int = REFACTOR_EVERY,
-                 start_upper: np.ndarray | None = None):
+    def __init__(self, P: Polyhedron, c: np.ndarray, refactor_every: int = REFACTOR_EVERY):
         meq, n = P.num_eq, P.num_vars
         self.n_orig = n
         self.c_orig = c
@@ -127,15 +126,11 @@ class _Simplex:
         self.scale_e = 1.0 + np.max(np.abs(self.e), initial=0.0)
         self.feas_tol = TOL_FEAS * self.scale_e
 
-        # Start every original variable at a finite bound (0 when free):
-        # the lower one, unless `start_upper` picks the upper one.
+        # Start every original variable at a finite bound (0 when free).
         x = np.where(np.isfinite(P.lower), P.lower,
                      np.where(np.isfinite(P.upper), P.upper, 0.0))
         status = np.where(np.isfinite(P.lower), _AT_LOWER,
                           np.where(np.isfinite(P.upper), _AT_UPPER, _FREE))
-        if start_upper is not None:
-            x = np.where(start_upper, P.upper, x)
-            status = np.where(start_upper, _AT_UPPER, status)
         resid = self.e - P.E @ x
 
         # Crash singleton columns into the basis: a column with a single
@@ -291,16 +286,12 @@ class _BoundBreach(NumericalError):
     """The refactored basic point breaks a bound: the tableau updates drifted."""
 
 
-def lp_solve(objective, P: Polyhedron, sense: str = "min", *,
-             start_upper=None) -> LpSolution:
+def lp_solve(objective, P: Polyhedron, sense: str = "min") -> LpSolution:
     """Solve min/max objective . z over the polyhedron P.
 
     Infeasible and unbounded problems are reported through the status
     field.  The pivot order is fixed, so identical inputs produce
-    identical outputs.  `start_upper`, a boolean mask over the
-    variables, starts the masked ones at their (finite) upper bound
-    instead of the lower one: a guess of the optimal bound sides that
-    changes the pivot path, not the optimum.
+    identical outputs.
     """
     c = _as_vector(objective, "objective")
     if c.shape[0] != P.num_vars:
@@ -309,16 +300,12 @@ def lp_solve(objective, P: Polyhedron, sense: str = "min", *,
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     flip = sense == "max"
     c = -c if flip else c
-    if start_upper is not None:
-        start_upper = np.asarray(start_upper, dtype=bool)
-        if start_upper.shape != (P.num_vars,) or not np.all(np.isfinite(P.upper[start_upper])):
-            raise ValueError("start_upper must mask variables with a finite upper bound")
     try:
-        sol = _Simplex(P, c, start_upper=start_upper).solve()
+        sol = _Simplex(P, c).solve()
     except _BoundBreach:
         # Drifted rank-1 updates can pivot onto a near-singular basis; a
         # fresh factorization at every pivot keeps the ratio tests accurate.
-        sol = _Simplex(P, c, refactor_every=1, start_upper=start_upper).solve()
+        sol = _Simplex(P, c, refactor_every=1).solve()
     if flip and sol.is_optimal:
         sol.objective = -sol.objective + 0.0
     return sol

@@ -97,9 +97,11 @@ def zonotope_norm(Z: Zonotope, x) -> NormResult:
     NumericalError.  Otherwise the gauge is a single LP, max lambda
     subject to A^T u = lambda x, |u_i| <= 1; the norm is 1/lambda and
     u/lambda attains it.  This keeps the LP at d equality rows regardless
-    of the generator count.  Each u_i starts at the bound of the sign of
-    the least-squares preimage, a guess at its optimal side (the sign of
-    <a_i, y*> for the dual optimum y*) that saves pivots.
+    of the generator count.  The simplex starts each u_i at its lower
+    bound; the LP runs on the generators s_i a_i, s_i = -sign of the
+    least-squares preimage's u_i, which span the same body, so that
+    start is the side of that preimage: a guess at the optimal side (the
+    sign of <a_i, y*> for the dual optimum y*) that saves pivots.
     """
     x = np.asarray(x, dtype=float)
     m, d = Z.m, Z.d
@@ -122,7 +124,9 @@ def zonotope_norm(Z: Zonotope, x) -> NormResult:
             raise NumericalError("closed-form preimage failed the residual check",
                                  residual=resid)
         return NormResult(value, -u if flip else u)
-    E = np.hstack([Z.A.T, -x[:, None]])
+    u_ls = np.linalg.lstsq(Z.A.T, x, rcond=None)[0]
+    s = np.where(u_ls > 0.0, -1.0, 1.0)
+    E = np.hstack([(Z.A * s[:, None]).T, -x[:, None]])
     P = Polyhedron(
         m + 1, E, np.zeros(d),
         np.concatenate([-np.ones(m), [0.0]]),
@@ -130,12 +134,11 @@ def zonotope_norm(Z: Zonotope, x) -> NormResult:
     )
     c = np.zeros(m + 1)
     c[m] = 1.0
-    u_ls = np.linalg.lstsq(Z.A.T, x, rcond=None)[0]
-    sol = lp_solve(c, P, sense="max", start_upper=np.append(u_ls > 0.0, False))
+    sol = lp_solve(c, P, sense="max")
     if sol.status != "optimal" or sol.objective <= 1e-14:
         raise SpanError("x does not lie in the span of the generators")
     lam = sol.objective
-    u = sol.point[:m] / lam
+    u = sol.point[:m] * s / lam
     return NormResult(1.0 / lam, -u if flip else u)
 
 

@@ -26,28 +26,14 @@ from zonobalance.zonotope import (
     zonotope_norm,
 )
 
+from test_zonotope import highs_gauge
+
 
 def random_zonotope_instance(d, m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, d))
     U = rng.uniform(-1.0, 1.0, (n, m))
     return Zonotope(A), VectorFamily(U @ A)
-
-
-def highs_gauge(A, x):
-    """min t s.t. A^T u = x, -t <= u_j <= t, solved by scipy's HiGHS."""
-    from scipy.optimize import linprog
-
-    m, d = A.shape
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    A_ub = np.block([[np.eye(m), -np.ones((m, 1))],
-                     [-np.eye(m), -np.ones((m, 1))]])
-    ref = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * m),
-                  A_eq=np.hstack([A.T, np.zeros((d, 1))]), b_eq=x,
-                  bounds=[(None, None)] * (m + 1), method="highs")
-    assert ref.status == 0
-    return ref.fun
 
 
 class TestOracle:
@@ -156,9 +142,9 @@ class TestPolarIdentity:
         refactor_periods = []
 
         class SpySimplex(convex._Simplex):
-            def __init__(self, P, c, refactor_every=convex._Simplex.REFACTOR_EVERY, **start):
+            def __init__(self, P, c, refactor_every=convex._Simplex.REFACTOR_EVERY):
                 refactor_periods.append(refactor_every)
-                super().__init__(P, c, refactor_every, **start)
+                super().__init__(P, c, refactor_every)
 
         monkeypatch.setattr(convex, "_Simplex", SpySimplex)
         rs = run_seed(3, 72)
