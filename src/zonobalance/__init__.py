@@ -4,9 +4,9 @@ Given generators A (the zonotope is the image of the sign cube under
 A^T) and vectors v_1..v_n drawn from that body, `balance` computes signs
 x in {-1, +1}^n whose signed sum stays within a sqrt(n log2(2d/n))
 multiple of the body, via iterated partial coloring.  Supporting pieces:
-zonotope gauges and membership, the Lewis position of the polar body,
-exhaustive and sampling-based verification oracles, plus a plain-text
-instance format and a CLI.
+zonotope gauges, the Lewis position of the polar body, exhaustive and
+sampling-based verification oracles, plus a plain-text instance format
+and a CLI.
 """
 
 from .coloring import (
@@ -17,7 +17,7 @@ from .coloring import (
     partial_coloring,
     round_scale,
 )
-from .convex import LpSolution, Polyhedron, lp_solve, project_polyhedron, psd_sqrt
+from .convex import LpSolution, Polyhedron, lp_solve, project_polyhedron
 from .errors import (
     InputError,
     MembershipError,
@@ -34,7 +34,6 @@ from .lewis import (
     k1_norm,
     lewis_position,
     lewis_transform,
-    lewis_weights,
 )
 from .verify import (
     OracleResult,
@@ -46,10 +45,8 @@ from .verify import (
 )
 from .zonotope import (
     BasisChange,
-    NormResult,
     VectorFamily,
     Zonotope,
-    membership,
     polar_norm,
     preprocess,
     reduce_generators,
@@ -60,14 +57,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceReport", "BasisChange", "InclusionReport", "InputError", "InstanceFile",
-    "LewisPosition", "LpSolution", "MembershipError", "NormResult", "NumericalError",
+    "LewisPosition", "LpSolution", "MembershipError", "NumericalError",
     "OracleResult", "ParseError", "PartialColoringStep", "Polyhedron",
     "RoundRecord", "SpanError", "VectorFamily", "WidthEstimate", "Zonotope",
     "ZonobalanceError", "balance", "bound_report",
     "brute_force_min_discrepancy", "check_inclusions",
-    "generate_instance", "k1_norm", "lewis_position",
-    "lewis_transform", "lewis_weights", "lp_solve", "membership",
+    "generate_instance", "k1_norm", "lewis_position", "lewis_transform", "lp_solve",
     "parse_instance", "partial_coloring", "polar_identity_check", "polar_norm",
-    "preprocess", "project_polyhedron", "psd_sqrt", "reduce_generators",
+    "preprocess", "project_polyhedron", "reduce_generators",
     "round_scale", "serialize_instance", "width_estimate", "zonotope_norm",
 ]

@@ -164,7 +164,7 @@ def _cmd_norm(args) -> int:
     if x.shape[0] != change.original_d:
         raise InputError(
             f"--x has dimension {x.shape[0]}, instance has {change.original_d}")
-    value = zonotope_norm(Z, change.rows_to_reduced(x[None, :])[0]).value
+    value = zonotope_norm(Z, change.rows_to_reduced(x[None, :])[0])
     _write(repr(value), args.out)
     return 0
 
@@ -241,6 +241,8 @@ def bench_specs(kinds: list[str], d_list: list[int], seeds: int,
                 master_seed: int, m_factor: int) -> list[BenchSpec]:
     if seeds < 1:
         raise InputError(f"seeds must be at least 1, got {seeds}")
+    if not kinds or not d_list:
+        raise InputError("bench needs at least 1 kind and 1 dimension")
     specs = []
     index = 0
     for kind in kinds:

@@ -87,7 +87,7 @@ def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
     k = y.shape[0]
     if offset is None:
         choices, need = (1.0, -1.0, None), (k + 1) // 2
-        unit = [zonotope_norm(Z, v).value for v in V.V]  # ||v_i||
+        unit = [zonotope_norm(Z, v) for v in V.V]  # ||v_i||
     else:
         choices, need = (-1.0, 1.0), k
     best = None
@@ -97,16 +97,16 @@ def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
             continue
         y_new = np.array([y[i] if pattern[i] is None else pattern[i] for i in range(k)])
         if offset is not None:
-            val = zonotope_norm(Z, offset + V.V.T @ y_new).value
+            val = zonotope_norm(Z, offset + V.V.T @ y_new)
         elif len(moved) == 1:
             i = moved[0]
             val = float(abs(y[i] - y_new[i])) * unit[i]
         else:
-            val = zonotope_norm(Z, V.V.T @ (y - y_new)).value
+            val = zonotope_norm(Z, V.V.T @ (y - y_new))
         if best is None or val < best[0]:
             best = (val, y_new, len(moved))
     val, y_new, fixed = best
-    inc = val if offset is None else zonotope_norm(Z, V.V.T @ (y - y_new)).value
+    inc = val if offset is None else zonotope_norm(Z, V.V.T @ (y - y_new))
     scales = _doubled_scales(k, Z.d, c0, lambda: f"increment {inc!r} exceeds every round scale")
     for c, s in scales:
         if inc <= s:
@@ -115,17 +115,17 @@ def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
 
 
 def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
-                     retries: int = DEFAULT_RETRIES, rng=None) -> PartialColoringStep:
+                     retries: int = DEFAULT_RETRIES, *, rng) -> PartialColoringStep:
     """One partial-coloring round over the active coordinates.
 
     `V` holds the active vectors only and `y` their fractional values,
     all strictly inside (-1, 1).  Returns the new fractional point (at
     least half its entries exact signs), the measured movement norm, and
     the accepted scale.  The scale starts at c0 * sqrt(k log2(2d/k)) and
-    doubles after every `retries` failed Gaussian draws; a draw fails
-    when fewer than half the coordinates clamp or the movement exceeds
-    the scale.  At most two active coordinates are colored by exact
-    enumeration instead.
+    doubles after every `retries` failed Gaussian draws from `rng`; a
+    draw fails when fewer than half the coordinates clamp or the
+    movement exceeds the scale.  At most two active coordinates are
+    colored by exact enumeration instead.
     """
     y = np.asarray(y, dtype=float)
     k = y.shape[0]
@@ -135,8 +135,6 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
         raise InputError("nothing to color")
     if np.any(np.abs(y) >= 1.0):
         raise InputError("active coordinates must be strictly inside (-1, 1)")
-    if rng is None:
-        rng = np.random.default_rng()
 
     if k <= 2:
         return _enumeration_step(Z, V, y, c0)
@@ -164,7 +162,7 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
                 continue
             y_new[tight] = np.sign(y_new[tight])
             np.clip(y_new, -1.0, 1.0, out=y_new)
-            inc = zonotope_norm(Z, V.V.T @ (y - y_new)).value
+            inc = zonotope_norm(Z, V.V.T @ (y - y_new))
             if inc > s:
                 continue
             return PartialColoringStep(y_new=y_new, increment=inc, scale_used=s,
@@ -247,7 +245,7 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
                                increment=step.increment))
         c_final = max(c_final, step.c_used)
 
-    discrepancy = zonotope_norm(Z, V.V.T @ y).value
+    discrepancy = zonotope_norm(Z, V.V.T @ y)
     bound = math.sqrt(n * math.log2(2.0 * d / n))
     return BalanceReport(
         signs=y.astype(int), discrepancy=discrepancy, bound=bound,

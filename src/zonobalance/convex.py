@@ -1,5 +1,5 @@
-"""Dense numerical primitives: linear programs over small polyhedra,
-Euclidean projection onto polyhedra, and PSD matrix square roots.
+"""Dense numerical primitives: linear programs over small polyhedra and
+Euclidean projection onto polyhedra.
 
 A polyhedron is stored in the lifted form used throughout the package:
 equality constraints plus per-variable box bounds.  The LP solver is a
@@ -416,24 +416,3 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
         residual=float(np.max(np.abs(z[:t] - g))),
     )
 
-
-def psd_sqrt(M) -> np.ndarray:
-    """Symmetric PSD square root via the spectral decomposition.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything more
-    negative is treated as a genuinely indefinite input.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("psd_sqrt expects a square matrix")
-    scale = float(np.max(np.abs(M), initial=0.0))
-    if np.max(np.abs(M - M.T), initial=0.0) > 1e-8 * (1.0 + scale):
-        raise ValueError("psd_sqrt expects a symmetric matrix")
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    if vals.size and vals[0] < -1e-10:
-        raise NumericalError(
-            "matrix is significantly indefinite", residual=float(-vals[0])
-        )
-    vals = np.clip(vals, 0.0, None)
-    S = (vecs * np.sqrt(vals)) @ vecs.T
-    return 0.5 * (S + S.T)

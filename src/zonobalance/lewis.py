@@ -5,9 +5,9 @@ The l1 Lewis weights are the positive fixed point of
 w_i = (a_i^T M(w)^{-1} a_i)^{1/2} with M(w) = A^T diag(w)^{-1} A.  The
 plain fixed-point iteration contracts for this exponent, so no
 safeguarding is needed beyond an iteration cap.  From converged weights
-the transform T = M(w)^{1/2} yields unit directions u_i = T^{-1}a_i /
-|T^{-1}a_i| and weights c_i = |T^{-1}a_i| = w_i satisfying
-sum_i c_i u_i u_i^T = I.
+the transform T = M(w)^{1/2}, a spectral PSD square root, yields unit
+directions u_i = T^{-1}a_i / |T^{-1}a_i| and weights
+c_i = |T^{-1}a_i| = w_i satisfying sum_i c_i u_i u_i^T = I.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import psd_sqrt
 from .errors import InputError, NumericalError
 from .zonotope import Zonotope
 
@@ -55,12 +54,34 @@ def _weight_map(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(q)
 
 
+def _psd_sqrt(M) -> np.ndarray:
+    """Symmetric PSD square root via the spectral decomposition.
+
+    Eigenvalues in [-1e-10, 0) are clamped to zero; anything more
+    negative is treated as a genuinely indefinite input.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("psd_sqrt expects a square matrix")
+    scale = float(np.max(np.abs(M), initial=0.0))
+    if np.max(np.abs(M - M.T), initial=0.0) > 1e-8 * (1.0 + scale):
+        raise ValueError("psd_sqrt expects a symmetric matrix")
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    if vals.size and vals[0] < -1e-10:
+        raise NumericalError(
+            "matrix is significantly indefinite", residual=float(-vals[0])
+        )
+    vals = np.clip(vals, 0.0, None)
+    S = (vecs * np.sqrt(vals)) @ vecs.T
+    return 0.5 * (S + S.T)
+
+
 def lewis_transform(A, w, iterations: int = 0) -> LewisPosition:
     """Assemble the Lewis position from converged weights."""
     A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
     M = A.T @ (A / w[:, None])
-    T = psd_sqrt(M)
+    T = _psd_sqrt(M)
     X = np.linalg.solve(T, A.T)  # columns are T^{-1} a_i
     c = np.linalg.norm(X, axis=0)
     if np.any(c <= 0.0):
@@ -72,41 +93,28 @@ def lewis_transform(A, w, iterations: int = 0) -> LewisPosition:
                          residual=residual, iterations=iterations)
 
 
-def lewis_weights_history(A, *, max_iter: int = MAX_ITER_LEWIS):
-    """Run the fixed-point iteration, returning (LewisPosition, residual_history).
+def lewis_position(Z: Zonotope | np.ndarray, *,
+                   max_iter: int = MAX_ITER_LEWIS) -> LewisPosition:
+    """Run the fixed-point iteration and assemble the Lewis position.
 
-    residual_history[t] is the max relative change of the weights at
-    iteration t.  Convergence requires both a small relative change and
-    an isotropy residual below TOL_LEWIS.
+    Convergence requires both a max relative weight change below
+    TOL_LEWIS * 1e-2 and an isotropy residual below TOL_LEWIS;
+    NumericalError carries the last relative change otherwise.
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
-    A = np.asarray(A, dtype=float)
+    A = Z.A if isinstance(Z, Zonotope) else np.asarray(Z, dtype=float)
     m, d = A.shape
     w = np.full(m, d / m)
-    history: list[float] = []
     for it in range(1, max_iter + 1):
         w_new = _weight_map(A, w)
         rel = float(np.max(np.abs(w_new - w) / w))
-        history.append(rel)
         w = w_new
         if rel <= TOL_LEWIS * 1e-2:
             position = lewis_transform(A, w, iterations=it)
             if position.residual <= TOL_LEWIS:
-                return position, history
-    raise NumericalError("Lewis weight iteration did not converge", residual=history[-1])
-
-
-def lewis_weights(A, *, max_iter: int = MAX_ITER_LEWIS) -> np.ndarray:
-    """l1 Lewis weights of the generator matrix A (one row per generator)."""
-    return lewis_weights_history(A, max_iter=max_iter)[0].w
-
-
-def lewis_position(Z: Zonotope | np.ndarray, *,
-                   max_iter: int = MAX_ITER_LEWIS) -> LewisPosition:
-    """Weights plus transform in one call."""
-    A = Z.A if isinstance(Z, Zonotope) else np.asarray(Z, dtype=float)
-    return lewis_weights_history(A, max_iter=max_iter)[0]
+                return position
+    raise NumericalError("Lewis weight iteration did not converge", residual=rel)
 
 
 def k1_norm(LP: LewisPosition, x) -> float:
@@ -133,7 +141,7 @@ def check_inclusions(LP: LewisPosition, samples: int, rng,
     direction.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InputError(f"samples must be at least 1, got {samples}")
     d = LP.d
     sqrt_d = np.sqrt(d)
     worst = 0.0

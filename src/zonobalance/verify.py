@@ -41,7 +41,7 @@ def brute_force_min_discrepancy(Z: Zonotope, V: VectorFamily) -> OracleResult:
     evaluations = 0
     for rest in itertools.product((-1.0, 1.0), repeat=n - 1):
         x = np.array((1.0,) + rest)
-        val = zonotope_norm(Z, Vt @ x).value
+        val = zonotope_norm(Z, Vt @ x)
         evaluations += 1
         key = tuple(x)
         if val < best_val:
@@ -112,7 +112,7 @@ def polar_identity_check(Z: Zonotope, V: VectorFamily, S, trials: int,
             size = int(rng.integers(1, V.n + 1))
             T = sorted(rng.choice(V.n, size=size, replace=False).tolist())
         x = V.V[T].T @ rng.standard_normal(len(T))
-        lhs = zonotope_norm(Z, x).value
+        lhs = zonotope_norm(Z, x)
         rhs = _l1_ball_max(P, np.linalg.solve(R.T, x))
         max_gap = max(max_gap, abs(lhs - rhs))
     return max_gap

@@ -1,4 +1,4 @@
-"""Zonotope data model and its norm, polar-norm, and membership oracles.
+"""Zonotope data model, its gauge and polar gauge, and instance preprocessing.
 
 A zonotope is stored through its generator matrix A (one generator per
 row); the body is the set of all combinations sum_i u_i a_i with
@@ -12,7 +12,6 @@ l1 expression ||A y||_1 and needs no LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,24 +83,19 @@ class VectorFamily:
         return f"VectorFamily(n={self.n}, d={self.d})"
 
 
-class NormResult(NamedTuple):
-    value: float
-    preimage: np.ndarray  # u with A^T u = x and max|u_i| = value
-
-
-def zonotope_norm(Z: Zonotope, x) -> NormResult:
-    """Gauge of x in Z: the least t with x in tZ, plus a minimizing preimage.
+def zonotope_norm(Z: Zonotope, x) -> float:
+    """Gauge of x in Z: the least t with x in tZ.
 
     A square body has one preimage u = A^{-T} x, and the gauge is
     max|u_i| in closed form; a residual check on A^T u = x raises
     NumericalError.  Otherwise the gauge is a single LP, max lambda
-    subject to A^T u = lambda x, |u_i| <= 1; the norm is 1/lambda and
-    u/lambda attains it.  This keeps the LP at d equality rows regardless
-    of the generator count.  The simplex starts each u_i at its lower
-    bound; the LP runs on the generators s_i a_i, s_i = -sign of the
-    least-squares preimage's u_i, which span the same body, so that
-    start is the side of that preimage: a guess at the optimal side (the
-    sign of <a_i, y*> for the dual optimum y*) that saves pivots.
+    subject to A^T u = lambda x, |u_i| <= 1, and the norm is 1/lambda.
+    This keeps the LP at d equality rows regardless of the generator
+    count.  The simplex starts each u_i at its lower bound; the LP runs
+    on the generators s_i a_i, s_i = -sign of the least-squares
+    preimage's u_i, which span the same body, so that start is the side
+    of that preimage: a guess at the optimal side (the sign of <a_i, y*>
+    for the dual optimum y*) that saves pivots.
     """
     x = np.asarray(x, dtype=float)
     m, d = Z.m, Z.d
@@ -109,11 +103,10 @@ def zonotope_norm(Z: Zonotope, x) -> NormResult:
         raise InputError(f"x must have dimension {d}")
     nonzero = np.flatnonzero(x)
     if nonzero.size == 0:
-        return NormResult(0.0, np.zeros(m))
+        return 0.0
     # Canonicalize the sign so that x and -x take the identical path and
     # the gauge is exactly symmetric.
-    flip = x[nonzero[0]] < 0.0
-    if flip:
+    if x[nonzero[0]] < 0.0:
         x = -x
     if m == d:
         u = np.linalg.solve(Z.A.T, x)
@@ -123,7 +116,7 @@ def zonotope_norm(Z: Zonotope, x) -> NormResult:
         if not (np.isfinite(value) and resid <= 100 * TOL_FEAS * value):
             raise NumericalError("closed-form preimage failed the residual check",
                                  residual=resid)
-        return NormResult(value, -u if flip else u)
+        return value
     u_ls = np.linalg.lstsq(Z.A.T, x, rcond=None)[0]
     s = np.where(u_ls > 0.0, -1.0, 1.0)
     E = np.hstack([(Z.A * s[:, None]).T, -x[:, None]])
@@ -137,9 +130,7 @@ def zonotope_norm(Z: Zonotope, x) -> NormResult:
     sol = lp_solve(c, P, sense="max")
     if sol.status != "optimal" or sol.objective <= 1e-14:
         raise SpanError("x does not lie in the span of the generators")
-    lam = sol.objective
-    u = sol.point[:m] * s / lam
-    return NormResult(1.0 / lam, -u if flip else u)
+    return 1.0 / sol.objective
 
 
 def polar_norm(Z: Zonotope, y) -> float:
@@ -148,13 +139,6 @@ def polar_norm(Z: Zonotope, y) -> float:
     if y.shape != (Z.d,):
         raise InputError(f"y must have dimension {Z.d}")
     return float(np.abs(Z.A @ y).sum())
-
-
-def membership(Z: Zonotope, x, t: float) -> bool:
-    """True iff x lies in tZ, up to the feasibility tolerance."""
-    if t < 0:
-        raise InputError("scale t must be nonnegative")
-    return zonotope_norm(Z, x).value <= t + TOL_FEAS
 
 
 @dataclass(frozen=True)
@@ -171,12 +155,6 @@ class BasisChange:
     @property
     def reduced_d(self) -> int:
         return self.Q.shape[1]
-
-    def to_original(self, x_red) -> np.ndarray:
-        return self.Q @ np.asarray(x_red, dtype=float)
-
-    def to_reduced(self, x_orig) -> np.ndarray:
-        return self.Q.T @ np.asarray(x_orig, dtype=float)
 
     def rows_to_reduced(self, X) -> np.ndarray:
         """Reduced coordinates X Q of the rows of X; raises SpanError naming
@@ -268,7 +246,7 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
             and np.linalg.norm(Z.A.T @ U[i] - V[i]) <= 1e-8
         ):
             continue
-        value = zonotope_norm(Z, V[i]).value
+        value = zonotope_norm(Z, V[i])
         if value <= 1.0 + TOL_FEAS:
             continue
         if not rescale:

@@ -52,7 +52,7 @@ def test_criterion_1_end_to_end_validity(suite):
     for run in suite["runs"]:
         rep = run["report"]
         assert set(np.abs(rep.signs)) == {1}, "signs must be exactly +-1"
-        recomputed = zonotope_norm(run["Z"], run["V"].V.T @ rep.signs).value
+        recomputed = zonotope_norm(run["Z"], run["V"].V.T @ rep.signs)
         gap = abs(recomputed - rep.discrepancy)
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-6

@@ -142,8 +142,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [
         ("--seeds", "0"),
         ("--seeds", "-2", "--d-list", "4"),
+        ("--kinds", ""),
+        ("--d-list", ","),
     ])
     def test_bench_seeds_below_one_exits_one(self, capsys, flags):
+        # An empty sweep (no seed, kind or dimension) is an input error.
         code, out, err = run_cli(capsys, "bench", *flags)
         assert code == 1
         assert out == ""

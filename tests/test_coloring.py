@@ -51,7 +51,7 @@ class TestCoordinateBody:
         rng = np.random.default_rng(1)
         for _ in range(100):
             a = rng.uniform(-2.0, 2.0, 4)
-            val = zonotope_norm(Z, V.V.T @ a).value
+            val = zonotope_norm(Z, V.V.T @ a)
             if abs(val - s) < 1e-7:
                 continue  # boundary ties are tolerance-dependent
             assert lift_contains(Z, V, a, s) == (val <= s)
@@ -63,7 +63,7 @@ class TestPartialColoring:
         V = VectorFamily(np.array([[0.4, -0.2, 0.1]]))
         step = partial_coloring(Z, V, np.zeros(1), rng=np.random.default_rng(0))
         assert step.y_new[0] in (-1.0, 1.0)
-        norm_v = zonotope_norm(Z, V.V[0]).value
+        norm_v = zonotope_norm(Z, V.V[0])
         assert step.increment <= norm_v + 1e-12
         assert step.increment <= 2.0 * math.sqrt(math.log2(6.0))
         assert step.tight_gained == 1
@@ -118,7 +118,7 @@ def all_patterns_endpoint(Z, V, y):
         if fixed < (k + 1) // 2:
             continue
         y_new = np.array([y[i] if pattern[i] is None else pattern[i] for i in range(k)])
-        val = zonotope_norm(Z, V.V.T @ (y - y_new)).value
+        val = zonotope_norm(Z, V.V.T @ (y - y_new))
         if best is None or val < best[0]:
             best = (val, y_new, fixed)
     return best
@@ -189,7 +189,7 @@ class TestBalance:
             Z, V = random_zonotope_instance(12, 36, 12, seed=100 + seed)
             rep = balance(Z, V, seed=seed)
             assert set(np.abs(rep.signs)) == {1}
-            fresh = zonotope_norm(Z, V.V.T @ rep.signs).value
+            fresh = zonotope_norm(Z, V.V.T @ rep.signs)
             assert fresh == pytest.approx(rep.discrepancy, abs=1e-6)
             assert rep.discrepancy <= sum(rep.increments) + 1e-6
 
@@ -226,7 +226,7 @@ class TestBalance:
         rep2 = balance(Zonotope(lam * Z.A), VectorFamily(lam * V.V), seed=11)
         assert np.array_equal(rep.signs, rep2.signs)
         assert rep2.discrepancy == pytest.approx(rep.discrepancy, rel=1e-8)
-        in_original_gauge = zonotope_norm(Z, (lam * V.V).T @ rep2.signs).value
+        in_original_gauge = zonotope_norm(Z, (lam * V.V).T @ rep2.signs)
         assert in_original_gauge == pytest.approx(lam * rep.discrepancy, rel=1e-8)
 
     def test_rejects_unpreprocessed_wide_family(self):

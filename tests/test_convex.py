@@ -1,4 +1,4 @@
-"""Tests for the LP / projection / matrix-root kernels."""
+"""Tests for the LP and projection kernels."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,7 @@ from zonobalance.convex import (
     _Simplex,
     lp_solve,
     project_polyhedron,
-    psd_sqrt,
 )
-from zonobalance.errors import NumericalError
 from zonobalance.zonotope import Zonotope
 
 
@@ -373,29 +371,3 @@ class TestProjection:
         assert P.contains(z)
         assert np.max(np.abs(z - slsqp_projection(g, P, np.zeros(4)))) <= 1e-6
 
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_random_gram_reconstruction(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            B = rng.standard_normal((6, 4))
-            M = B.T @ B
-            S = psd_sqrt(M)
-            assert np.allclose(S, S.T)
-            assert np.linalg.norm(S @ S - M) <= 1e-8 * (1 + np.linalg.norm(M))
-            vals = np.linalg.eigvalsh(S)
-            assert vals.min() >= -1e-10
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NumericalError):
-            psd_sqrt(np.diag([1.0, -0.5]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -94,7 +94,7 @@ class TestGenerators:
         assert np.allclose(np.linalg.norm(inst.A, axis=1), 1.0)
         Z, V, _ = preprocess(inst.A, inst.V, inst.U)
         for i in range(V.n):
-            assert zonotope_norm(Z, V.V[i]).value <= 1.0 + 1e-9
+            assert zonotope_norm(Z, V.V[i]) <= 1.0 + 1e-9
 
     def test_duplicated_pairs(self):
         inst = generate_instance("duplicated", 5, None, 4, np.random.default_rng(3))

@@ -1,34 +1,35 @@
-"""Tests for Lewis weights, the isotropy transform, and the ball sandwich."""
+"""Tests for Lewis weights, the isotropy transform, its PSD square root,
+and the ball sandwich."""
 
 import numpy as np
 import pytest
 
-from zonobalance.errors import NumericalError
+from zonobalance.errors import InputError, NumericalError
 from zonobalance.lewis import (
     TOL_LEWIS,
+    _psd_sqrt,
+    _weight_map,
     check_inclusions,
     k1_norm,
     lewis_position,
     lewis_transform,
-    lewis_weights,
-    lewis_weights_history,
 )
 
 
 class TestWeights:
     def test_identity_fixed_point(self):
-        assert np.allclose(lewis_weights(np.eye(5)), np.ones(5), atol=1e-12)
+        assert np.allclose(lewis_position(np.eye(5)).w, np.ones(5), atol=1e-12)
 
     def test_scalar_duplicated_row(self):
         # d=1, m=2, both rows (1): the fixed point solves w = sqrt(w/2),
         # hence w = 1/2 for both rows.
-        w = lewis_weights(np.array([[1.0], [1.0]]))
+        w = lewis_position(np.array([[1.0], [1.0]])).w
         assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((20, 5))
-        w = lewis_weights(A)
+        w = lewis_position(A).w
         assert w.sum() == pytest.approx(5.0, abs=1e-6)
         assert np.all(w > 0)
 
@@ -36,7 +37,14 @@ class TestWeights:
         rng = np.random.default_rng(1)
         for _ in range(5):
             A = rng.standard_normal((30, 6))
-            _, history = lewis_weights_history(A)
+            # The max relative weight change at each of the iterations
+            # that lewis_position runs.
+            w = np.full(30, 6 / 30)  # lewis_position's start, d / m
+            history = []
+            for _ in range(lewis_position(A).iterations):
+                w_new = _weight_map(A, w)
+                history.append(float(np.max(np.abs(w_new - w) / w)))
+                w = w_new
             for i in range(5, len(history) - 1):
                 assert history[i + 1] <= history[i] + 1e-12
 
@@ -44,7 +52,7 @@ class TestWeights:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((12, 4))
         with pytest.raises(NumericalError):
-            lewis_weights(A, max_iter=2)
+            lewis_position(A, max_iter=2)
 
 
 class TestTransform:
@@ -59,7 +67,7 @@ class TestTransform:
         # From the fixed point w = 1/2: M = 2/w = 4, so T = 2, and
         # T^{-1} a_i = 1/2 gives c_i = 1/2 with unit directions (1).
         A = np.array([[1.0], [1.0]])
-        LP = lewis_transform(A, lewis_weights(A))
+        LP = lewis_transform(A, lewis_position(A).w)
         assert LP.T == pytest.approx(np.array([[2.0]]))
         assert np.allclose(LP.c, [0.5, 0.5], atol=1e-10)
         assert np.allclose(LP.U_dirs, [[1.0], [1.0]])
@@ -134,3 +142,34 @@ class TestInclusions:
         assert rep.max_violation > 1e-6
         assert rep.worst_direction is not None
         assert rep.worst_direction.shape == (3,)
+
+    def test_samples_below_one_rejected(self):
+        with pytest.raises(InputError, match="at least 1"):
+            check_inclusions(lewis_position(np.eye(2)), 0, np.random.default_rng(9))
+
+
+class TestPsdSqrt:
+    def test_identity(self):
+        assert np.allclose(_psd_sqrt(np.eye(3)), np.eye(3))
+
+    def test_diagonal(self):
+        assert np.allclose(_psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+
+    def test_random_gram_reconstruction(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            B = rng.standard_normal((6, 4))
+            M = B.T @ B
+            S = _psd_sqrt(M)
+            assert np.allclose(S, S.T)
+            assert np.linalg.norm(S @ S - M) <= 1e-8 * (1 + np.linalg.norm(M))
+            vals = np.linalg.eigvalsh(S)
+            assert vals.min() >= -1e-10
+
+    def test_indefinite_rejected(self):
+        with pytest.raises(NumericalError):
+            _psd_sqrt(np.diag([1.0, -0.5]))
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError):
+            _psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -66,7 +66,7 @@ class TestOracle:
         Z, V = random_zonotope_instance(4, 10, 4, seed=0)
         res = brute_force_min_discrepancy(Z, V)
         from zonobalance.zonotope import zonotope_norm
-        direct = zonotope_norm(Z, V.V.T @ res.best_signs).value
+        direct = zonotope_norm(Z, V.V.T @ res.best_signs)
         assert direct == pytest.approx(res.opt, abs=1e-8)
 
     def test_symmetry_under_negation(self):
@@ -158,7 +158,7 @@ class TestPolarIdentity:
         rng = np.random.default_rng(run_seed(rs, 1))  # the check's y stream
         for _ in range(4):
             x = V.V.T @ rng.standard_normal(16)
-            assert zonotope_norm(Z, x).value == pytest.approx(highs_gauge(Z.A, x), abs=1e-6)
+            assert zonotope_norm(Z, x) == pytest.approx(highs_gauge(Z.A, x), abs=1e-6)
 
     @pytest.mark.parametrize("factor", [2, 4])
     def test_gauge_matches_highs_on_tall_bodies(self, factor):
@@ -177,11 +177,10 @@ class TestPolarIdentity:
                 rng = np.random.default_rng(seed)
                 for y in (rng.choice([-1.0, 1.0], d), rng.uniform(-1.0, 1.0, d)):
                     x = V.V.T @ y
-                    res = zonotope_norm(Z, x)
+                    value = zonotope_norm(Z, x)
+                    assert type(value) is float
                     ref = highs_gauge(Z.A, x)
-                    worst = max(worst, abs(res.value - ref) / ref)
-                    assert np.max(np.abs(Z.A.T @ res.preimage - x)) <= 1e-8 * (1.0 + ref)
-                    assert np.max(np.abs(res.preimage)) <= res.value * (1.0 + 1e-9)
+                    worst = max(worst, abs(value - ref) / ref)
         assert worst <= 1e-8
 
 
