@@ -87,7 +87,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lewis", help="Lewis weights and transform of the generators")
     _add_instance_arg(p)
-    p.add_argument("--max-iter", type=int, default=lewis.MAX_ITER_LEWIS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("oracle", help="exact minimum discrepancy by enumeration")
@@ -172,7 +171,7 @@ def _cmd_norm(args) -> int:
 def _cmd_lewis(args) -> int:
     inst = _read_instance(args.instance)
     Z, _ = reduce_generators(inst.A)
-    LP = lewis.lewis_position(Z.A, max_iter=args.max_iter)
+    LP = lewis.lewis_position(Z.A)
     lines = [
         "weights: " + " ".join(repr(float(w)) for w in LP.w),
         f"sum_weights: {float(LP.w.sum())!r}",

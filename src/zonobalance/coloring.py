@@ -127,6 +127,8 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
     movement exceeds the scale.  At most two active coordinates are
     colored by exact enumeration instead.
     """
+    if V.d != Z.d:
+        raise InputError(f"vectors have dimension {V.d}, the body has {Z.d}")
     y = np.asarray(y, dtype=float)
     k = y.shape[0]
     if k != V.n:
@@ -212,6 +214,8 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
     exhaustive enumeration instead of further coloring rounds.
     """
     n, d = V.n, Z.d
+    if V.d != d:
+        raise InputError(f"vectors have dimension {V.d}, the body has {d}")
     if n > d:
         raise InputError("instance must be preprocessed (requires n <= d)")
     if not (c0 > 0.0 and math.isfinite(c0)):

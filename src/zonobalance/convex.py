@@ -77,11 +77,12 @@ class Polyhedron:
     def num_eq(self) -> int:
         return self.E.shape[0]
 
-    def contains(self, z: np.ndarray, tol: float = 1e-7) -> bool:
-        """Feasibility check with absolute tolerance `tol`."""
+    def contains(self, z: np.ndarray) -> bool:
+        """Feasibility check with absolute tolerance 1e-7."""
         z = _as_vector(z, "z")
         if z.shape[0] != self.num_vars:
             return False
+        tol = 1e-7
         if np.any(z < self.lower - tol) or np.any(z > self.upper + tol):
             return False
         if np.max(np.abs(self.E @ z - self.e), initial=0.0) > tol * (1.0 + np.max(np.abs(self.e), initial=0.0)):
@@ -89,7 +90,7 @@ class Polyhedron:
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     point: np.ndarray | None
@@ -286,9 +287,10 @@ class _BoundBreach(NumericalError):
     """The refactored basic point breaks a bound: the tableau updates drifted."""
 
 
-def lp_solve(objective, P: Polyhedron, sense: str = "min") -> LpSolution:
-    """Solve min/max objective . z over the polyhedron P.
+def lp_solve(objective, P: Polyhedron) -> LpSolution:
+    """Solve min objective . z over the polyhedron P.
 
+    To maximize, pass the negated objective and negate the optimum.
     Infeasible and unbounded problems are reported through the status
     field.  The pivot order is fixed, so identical inputs produce
     identical outputs.
@@ -296,19 +298,12 @@ def lp_solve(objective, P: Polyhedron, sense: str = "min") -> LpSolution:
     c = _as_vector(objective, "objective")
     if c.shape[0] != P.num_vars:
         raise ValueError("objective length does not match num_vars")
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    flip = sense == "max"
-    c = -c if flip else c
     try:
-        sol = _Simplex(P, c).solve()
+        return _Simplex(P, c).solve()
     except _BoundBreach:
         # Drifted rank-1 updates can pivot onto a near-singular basis; a
         # fresh factorization at every pivot keeps the ratio tests accurate.
-        sol = _Simplex(P, c, refactor_every=1).solve()
-    if flip and sol.is_optimal:
-        sol.objective = -sol.objective + 0.0
-    return sol
+        return _Simplex(P, c, refactor_every=1).solve()
 
 
 def _null_space(E: np.ndarray) -> np.ndarray:
@@ -338,7 +333,7 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     max_iter = 60 * n + 600
 
     z = _as_vector(z0, "z0").copy()
-    if not P.contains(z, tol=1e-7):
+    if not P.contains(z):
         raise ValueError("provided starting point is not feasible")
     np.clip(z, P.lower, P.upper, out=z)
 

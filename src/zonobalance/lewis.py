@@ -93,20 +93,18 @@ def lewis_transform(A, w, iterations: int = 0) -> LewisPosition:
                          residual=residual, iterations=iterations)
 
 
-def lewis_position(Z: Zonotope | np.ndarray, *,
-                   max_iter: int = MAX_ITER_LEWIS) -> LewisPosition:
+def lewis_position(Z: Zonotope | np.ndarray) -> LewisPosition:
     """Run the fixed-point iteration and assemble the Lewis position.
 
-    Convergence requires both a max relative weight change below
-    TOL_LEWIS * 1e-2 and an isotropy residual below TOL_LEWIS;
-    NumericalError carries the last relative change otherwise.
+    Convergence within MAX_ITER_LEWIS iterations requires both a max
+    relative weight change below TOL_LEWIS * 1e-2 and an isotropy
+    residual below TOL_LEWIS; NumericalError carries the last relative
+    change otherwise.
     """
-    if max_iter < 1:
-        raise InputError(f"max_iter must be at least 1, got {max_iter}")
     A = Z.A if isinstance(Z, Zonotope) else np.asarray(Z, dtype=float)
     m, d = A.shape
     w = np.full(m, d / m)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER_LEWIS + 1):
         w_new = _weight_map(A, w)
         rel = float(np.max(np.abs(w_new - w) / w))
         w = w_new
@@ -131,13 +129,12 @@ class InclusionReport:
     passed: bool
 
 
-def check_inclusions(LP: LewisPosition, samples: int, rng,
-                     tol: float = 1e-6) -> InclusionReport:
+def check_inclusions(LP: LewisPosition, samples: int, rng) -> InclusionReport:
     """Sampled check of the ball sandwich around the normalized polar body.
 
     For unit directions x the gauge must satisfy
     ||x||_2 <= gauge(x) <= sqrt(d) ||x||_2.  Returns the largest violation
-    seen; the report fails beyond `tol` and records the offending
+    seen; the report fails beyond 1e-6 and records the offending
     direction.
     """
     if samples < 1:
@@ -158,4 +155,4 @@ def check_inclusions(LP: LewisPosition, samples: int, rng,
             worst = violation
             worst_dir = x.copy()
     return InclusionReport(samples=samples, max_violation=worst,
-                           worst_direction=worst_dir, passed=worst <= tol)
+                           worst_direction=worst_dir, passed=worst <= 1e-6)

@@ -78,10 +78,10 @@ def _l1_ball_max(P: Polyhedron, objective: np.ndarray) -> float:
     """max <objective, x> over a polyhedron built by _l1_ball_lp."""
     c = np.zeros(P.num_vars)
     c[:objective.shape[0]] = objective
-    sol = lp_solve(c, P, sense="max")
+    sol = lp_solve(-c, P)
     if not sol.is_optimal:
         raise InputError("l1-ball LP unexpectedly " + sol.status)
-    return sol.objective
+    return -sol.objective
 
 
 def polar_identity_check(Z: Zonotope, V: VectorFamily, S, trials: int,

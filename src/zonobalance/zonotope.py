@@ -127,10 +127,10 @@ def zonotope_norm(Z: Zonotope, x) -> float:
     )
     c = np.zeros(m + 1)
     c[m] = 1.0
-    sol = lp_solve(c, P, sense="max")
-    if sol.status != "optimal" or sol.objective <= 1e-14:
+    sol = lp_solve(-c, P)  # max lambda
+    if sol.status != "optimal" or -sol.objective <= 1e-14:
         raise SpanError("x does not lie in the span of the generators")
-    return 1.0 / sol.objective
+    return 1.0 / -sol.objective
 
 
 def polar_norm(Z: Zonotope, y) -> float:

@@ -95,9 +95,11 @@ class TestExitCodes:
         assert code == 0
 
     def test_unknown_flag_exits_one(self, capsys, cube4):
-        code, _, err = run_cli(capsys, "balance", cube4, "--frobnicate")
-        assert code == 1
-        assert "usage" in err.lower() or "error" in err.lower()
+        for argv in (("balance", cube4, "--frobnicate"),
+                     ("lewis", cube4, "--max-iter", "200")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert "usage" in err.lower() or "error" in err.lower()
 
     def test_malformed_file_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2 3 1\n1.0 0.0\n"))
@@ -109,12 +111,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "balance", "/nonexistent/path.txt")
         assert code == 1
 
-    def test_numerical_failure_exits_two(self, capsys, tmp_path):
+    def test_numerical_failure_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(zonobalance.lewis, "MAX_ITER_LEWIS", 1)
         inst = generate_instance("random-zonotope", 5, 20, 5,
                                  np.random.default_rng(4))
         path = tmp_path / "rz.txt"
         path.write_text(serialize_instance(inst))
-        code, _, err = run_cli(capsys, "lewis", str(path), "--max-iter", "1")
+        code, _, err = run_cli(capsys, "lewis", str(path))
         assert code == 2
         assert "numerical" in err.lower()
 
@@ -132,7 +135,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flags", [
         ("check", ("--trials", "0")),
         ("check", ("--trials", "-3")),
-        ("lewis", ("--max-iter", "0")),
     ])
     def test_count_below_one_exits_one(self, capsys, spencer6, command, flags):
         code, _, err = run_cli(capsys, command, spencer6, *flags)

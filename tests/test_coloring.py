@@ -9,7 +9,7 @@ import pytest
 from zonobalance import coloring
 from zonobalance.coloring import balance, partial_coloring, round_scale
 from zonobalance.convex import lp_solve
-from zonobalance.errors import InputError
+from zonobalance.errors import InputError, NumericalError
 from zonobalance.zonotope import VectorFamily, Zonotope, zonotope_norm
 
 
@@ -106,6 +106,47 @@ class TestPartialColoring:
             assert step.tight_gained >= 5
             assert step.increment <= step.scale_used
             assert np.abs(step.y_new).max() <= 1.0
+
+    def test_rejected_draws_retry_then_double(self, monkeypatch):
+        # Draw 1's projection fails and draw 2 moves over the scale, so
+        # with two draws per scale draw 3, at 2 c0, is the one accepted.
+        Z, V = spencer_instance(8, seed=0)
+        project, norm = coloring.project_polyhedron, coloring.zonotope_norm
+        draws, normed = [], []
+
+        def failing_first(g, P, *, z0):
+            draws.append(g)
+            if len(draws) == 1:
+                raise NumericalError("injected projection failure")
+            return project(g, P, z0=z0)
+
+        def over_scale_second(Z, x):
+            normed.append(len(draws))
+            return 2.0 * round_scale(8, 8, 2.0) if len(draws) == 2 else norm(Z, x)
+
+        monkeypatch.setattr(coloring, "project_polyhedron", failing_first)
+        monkeypatch.setattr(coloring, "zonotope_norm", over_scale_second)
+        step = partial_coloring(Z, V, np.zeros(8), c0=2.0, retries=2,
+                                rng=np.random.default_rng(0))
+        assert normed == [2, 3]
+        assert step.attempts == 3
+        assert step.c_used == 4.0
+        assert step.scale_used == round_scale(8, 8, 4.0)
+        assert step.tight_gained >= 4
+        assert np.count_nonzero(np.abs(step.y_new) == 1.0) == step.tight_gained
+        assert np.abs(step.y_new).max() <= 1.0
+        assert step.increment == norm(Z, V.V.T @ step.y_new)
+        assert step.increment <= step.scale_used
+
+    def test_every_draw_failing_raises(self, monkeypatch):
+        def failing(g, P, *, z0):
+            raise NumericalError("injected projection failure")
+
+        monkeypatch.setattr(coloring, "project_polyhedron", failing)
+        Z, V = spencer_instance(8, seed=0)
+        # 25 scales (c0 and 24 doublings) of two draws each.
+        with pytest.raises(NumericalError, match=r"after 50 draws .*doubled 24 times"):
+            partial_coloring(Z, V, np.zeros(8), retries=2, rng=np.random.default_rng(0))
 
 
 def all_patterns_endpoint(Z, V, y):
@@ -234,6 +275,13 @@ class TestBalance:
         V = VectorFamily(np.array([[0.1, 0.0], [0.0, 0.1], [0.1, 0.1]]))
         with pytest.raises(InputError):
             balance(Z, V)
+
+    def test_vector_dimension_must_match_body(self):
+        Z, V = Zonotope(np.eye(4)), VectorFamily(0.1 * np.ones((3, 2)))
+        with pytest.raises(InputError, match="dimension 2, the body has 4"):
+            balance(Z, V)
+        with pytest.raises(InputError, match="dimension 2, the body has 4"):
+            partial_coloring(Z, V, np.zeros(3), rng=np.random.default_rng(0))
 
     def test_exact_finish_small_instance(self):
         Z = Zonotope(np.eye(4))

@@ -12,7 +12,10 @@ from zonobalance.convex import (
     lp_solve,
     project_polyhedron,
 )
-from zonobalance.zonotope import Zonotope
+from zonobalance.instancefile import generate_instance
+from zonobalance.zonotope import Zonotope, zonotope_norm
+
+from test_zonotope import highs_gauge
 
 
 def box(lower, upper, E=None, e=None):
@@ -151,9 +154,10 @@ class TestLpSolve:
 
     def test_zero_objective_max(self):
         P, _ = random_polyhedron(np.random.default_rng(0))
-        sol = lp_solve(np.zeros(P.num_vars), P, sense="max")
+        # A maximization passes the negated objective, as the callers do.
+        sol = lp_solve(-np.zeros(P.num_vars), P)
         assert sol.status == "optimal"
-        assert sol.objective == 0.0
+        assert -sol.objective == 0.0
 
     def test_infeasible_reported_by_status(self):
         P = Polyhedron(1, np.array([[1.0]]), np.array([2.0]),
@@ -199,7 +203,7 @@ class TestLpSolve:
             if ref.status == 0:
                 assert mine.status == "optimal"
                 assert mine.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
-                assert P.contains(mine.point, tol=1e-6)
+                assert P.contains(mine.point)
             elif ref.status == 3:
                 assert mine.status == "unbounded"
             elif ref.status == 2:
@@ -219,12 +223,80 @@ class TestLpSolve:
             if ref.status == 0:
                 assert mine.status == "optimal"
                 assert mine.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
-                assert P.contains(mine.point, tol=1e-6)
+                assert P.contains(mine.point)
             elif ref.status == 3:
                 assert mine.status == "unbounded"
             elif ref.status == 2:
                 assert mine.status == "infeasible"
         assert min(seen.values()) > 0, seen
+
+    def test_blands_rule_against_reference_solver(self, monkeypatch):
+        # Bland's rule from the first pivot on, over the sparse polyhedra
+        # of the test above: same statuses and optima, on other pivot paths.
+        pivots = {False: [], True: []}
+
+        class Counted(convex._Simplex):
+            bland = False
+
+            def __init__(self, P, c, refactor_every=convex._Simplex.REFACTOR_EVERY):
+                super().__init__(P, c, refactor_every)
+                if self.bland:
+                    self.dantzig_limit = 0
+
+            def solve(self):
+                sol = super().solve()
+                pivots[self.bland].append(self.pivots)
+                return sol
+
+        monkeypatch.setattr(convex, "_Simplex", Counted)
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            P = sparse_polyhedron(rng)
+            c = rng.standard_normal(P.num_vars)
+            ref = highs(c, P)
+            for bland in (False, True):
+                Counted.bland = bland
+                mine = lp_solve(c, P)
+                if ref.status == 0:
+                    assert mine.status == "optimal"
+                    assert mine.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+                    assert P.contains(mine.point)
+                else:
+                    assert mine.status == {2: "infeasible", 3: "unbounded"}[ref.status]
+        assert pivots[True] != pivots[False]
+
+    def test_drifted_tableau_resolves(self, monkeypatch):
+        # A perturbed tableau at pivot 20 of the first attempt makes many
+        # d = 16, m = 64 gauge LPs end on a basis that breaks a bound; the
+        # refactor-every-pivot re-solve must then return HiGHS's gauge.
+        # The others can end on a feasible but suboptimal basis, which the
+        # final check (primal feasibility only) does not catch, so only
+        # the re-solved LPs are compared.
+        periods = []
+
+        class Drift(convex._Simplex):
+            def __init__(self, P, c, refactor_every=convex._Simplex.REFACTOR_EVERY):
+                periods.append(refactor_every)
+                super().__init__(P, c, refactor_every)
+
+            def _reduced_costs(self, c):
+                if self.pivots == 20 and self.refactor_every == self.REFACTOR_EVERY:
+                    self.W += 1e-2 * np.random.default_rng(0).standard_normal(self.W.shape)
+                return super()._reduced_costs(c)
+
+        monkeypatch.setattr(convex, "_Simplex", Drift)
+        rng = np.random.default_rng(7)
+        resolved = 0
+        for _ in range(20):
+            Z = Zonotope(generate_instance("random-zonotope", 16, 64, 1, rng).A)
+            x = rng.standard_normal(16)
+            periods.clear()
+            value = zonotope_norm(Z, x)
+            assert periods[0] == convex._Simplex.REFACTOR_EVERY
+            if periods[1:] == [1]:
+                resolved += 1
+                assert value == pytest.approx(highs_gauge(Z.A, x), abs=1e-7)
+        assert resolved >= 5, resolved
 
     def test_crash_basis_hand_built(self):
         # Row 0: singleton 0 would need 5 > 1, singleton 1 fits at 10.

@@ -4,6 +4,7 @@ and the ball sandwich."""
 import numpy as np
 import pytest
 
+from zonobalance import lewis
 from zonobalance.errors import InputError, NumericalError
 from zonobalance.lewis import (
     TOL_LEWIS,
@@ -48,11 +49,12 @@ class TestWeights:
             for i in range(5, len(history) - 1):
                 assert history[i + 1] <= history[i] + 1e-12
 
-    def test_nonconvergence_error_carries_residual(self):
+    def test_nonconvergence_error_carries_residual(self, monkeypatch):
+        monkeypatch.setattr(lewis, "MAX_ITER_LEWIS", 2)
         rng = np.random.default_rng(2)
         A = rng.standard_normal((12, 4))
         with pytest.raises(NumericalError):
-            lewis_position(A, max_iter=2)
+            lewis_position(A)
 
 
 class TestTransform:

@@ -211,8 +211,7 @@ class TestPolarNorm:
             lower = np.concatenate([np.full(d, -np.inf), np.zeros(2 * m + 1)])
             c = np.zeros(nv)
             c[:d] = x
-            sol = lp_solve(c, Polyhedron(nv, E, e, lower, np.full(nv, np.inf)),
-                           sense="max")
+            sol = lp_solve(-c, Polyhedron(nv, E, e, lower, np.full(nv, np.inf)))
             assert sol.status == "optimal"
             y_star = sol.point[:d]
             lhs = abs(float(x @ y_star))
@@ -346,6 +345,6 @@ def _norm_in_span(A_raw, x):
                    np.concatenate([np.ones(m), [np.inf]]))
     c = np.zeros(m + 1)
     c[m] = 1.0
-    sol = lp_solve(c, P, sense="max")
-    assert sol.status == "optimal" and sol.objective > 1e-12
-    return 1.0 / sol.objective
+    sol = lp_solve(-c, P)
+    assert sol.status == "optimal" and -sol.objective > 1e-12
+    return 1.0 / -sol.objective
