@@ -10,9 +10,11 @@ representation.  Problem sizes stay in the low thousands of variables,
 so dense linear algebra is adequate.
 
 Every optimal LP point is checked against its bounds after the final
-refactorization.  When the rank-1 tableau updates have drifted far
-enough to break a bound, the LP is solved again with a refactorization
-at every pivot, and NumericalError is raised only if that fails too.
+refactorization, and priced again there: a variable still eligible to
+enter resumes the pivots from the fresh basis.  When the rank-1 tableau
+updates have drifted far enough to break a bound, the LP is solved
+again with a refactorization at every pivot, and NumericalError is
+raised only if that fails too.
 """
 
 from __future__ import annotations
@@ -269,17 +271,24 @@ class _Simplex:
         self.upper[n:] = 0.0
         np.clip(self.x[n:], 0.0, None, out=self.x[n:])
         c2 = np.concatenate([self.c_orig, np.zeros(self.ntot - n)])
-        status = self._run_phase(c2)
-        if status == "unbounded":
-            return LpSolution("unbounded", None, math.nan)
-        self._refactor()
+        # The verdict needs a pass that prices on a fresh factorization
+        # and finds nothing to enter; until then, pivot on from the
+        # refactored (and checked) basis.
+        checked = -1
+        while True:
+            if self._run_phase(c2) == "unbounded":
+                return LpSolution("unbounded", None, math.nan)
+            if self.pivots == checked:
+                break
+            self._refactor()
+            resid = float(np.max(np.abs(self._residual()), initial=0.0))
+            if resid > 100 * self.feas_tol:
+                raise NumericalError("solution failed the feasibility check", residual=resid)
+            breach = float(np.max(np.maximum(self.lower - self.x, self.x - self.upper), initial=0.0))
+            if breach > 100 * self.feas_tol:
+                raise _BoundBreach("solution breaks a variable bound", residual=breach)
+            checked = self.pivots
         point = self.x[:n].copy()
-        resid = float(np.max(np.abs(self._residual()), initial=0.0))
-        if resid > 100 * self.feas_tol:
-            raise NumericalError("solution failed the feasibility check", residual=resid)
-        breach = float(np.max(np.maximum(self.lower - self.x, self.x - self.upper), initial=0.0))
-        if breach > 100 * self.feas_tol:
-            raise _BoundBreach("solution breaks a variable bound", residual=breach)
         return LpSolution("optimal", point, float(self.c_orig @ point))
 
 

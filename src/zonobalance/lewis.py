@@ -1,13 +1,12 @@
-"""Lewis position of the polar body: weights, directions, and the
-isotropy transform.
+"""Lewis position of the polar body: weights and unit directions.
 
-The l1 Lewis weights are the positive fixed point of
-w_i = (a_i^T M(w)^{-1} a_i)^{1/2} with M(w) = A^T diag(w)^{-1} A.  The
-plain fixed-point iteration contracts for this exponent, so no
-safeguarding is needed beyond an iteration cap.  From converged weights
-the transform T = M(w)^{1/2}, a spectral PSD square root, yields unit
-directions u_i = T^{-1}a_i / |T^{-1}a_i| and weights
-c_i = |T^{-1}a_i| = w_i satisfying sum_i c_i u_i u_i^T = I.
+The l1 Lewis weights are the positive fixed point of w_i = |T^{-1} a_i|
+with T the Cholesky factor of M(w) = A^T diag(w)^{-1} A.  The plain
+fixed-point iteration contracts for this exponent (Lewis, Studia Math.
+1978; Cohen & Peng, STOC 2015), so only an iteration cap guards it.
+Any factor of M(w) gives the same position up to a rotation: at the
+fixed point x_i = T^{-1} a_i gives unit directions u_i = x_i / |x_i|
+and weights c_i = |x_i| = w_i with sum_i c_i u_i u_i^T = I.
 """
 
 from __future__ import annotations
@@ -26,71 +25,41 @@ MAX_ITER_LEWIS = 200
 @dataclass(frozen=True)
 class LewisPosition:
     w: np.ndarray       # Lewis weights, length m
-    T: np.ndarray       # d x d symmetric positive definite transform
-    c: np.ndarray       # weights of the isotropy identity (= w at the fixed point)
-    U_dirs: np.ndarray  # m x d, unit rows
+    c: np.ndarray       # |T^{-1} a_i|, the weights of the isotropy identity (= w at the fixed point)
+    U_dirs: np.ndarray  # m x d, unit rows T^{-1} a_i / c_i
     residual: float     # Frobenius norm of sum_i c_i u_i u_i^T - I
     iterations: int
 
     @property
     def d(self) -> int:
-        return self.T.shape[0]
+        return self.U_dirs.shape[1]
 
     @property
     def m(self) -> int:
         return self.w.shape[0]
 
 
-def _weight_map(A: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One fixed-point step: w -> (a_i^T M(w)^{-1} a_i)^{1/2}."""
-    M = A.T @ (A / w[:, None])
+def _factor_solve(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = T^{-1} A^T for the Cholesky factor T of M(w), and its column norms."""
     try:
-        X = np.linalg.solve(M, A.T)
+        T = np.linalg.cholesky(A.T @ (A / w[:, None]))
     except np.linalg.LinAlgError:
-        raise NumericalError("weighted Gram matrix is numerically singular")
-    q = np.einsum("ij,ji->i", A, X)
-    if np.any(q <= 0.0):
-        raise NumericalError("nonpositive leverage value; matrix is degenerate")
-    return np.sqrt(q)
-
-
-def _psd_sqrt(M) -> np.ndarray:
-    """Symmetric PSD square root via the spectral decomposition.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything more
-    negative is treated as a genuinely indefinite input.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("psd_sqrt expects a square matrix")
-    scale = float(np.max(np.abs(M), initial=0.0))
-    if np.max(np.abs(M - M.T), initial=0.0) > 1e-8 * (1.0 + scale):
-        raise ValueError("psd_sqrt expects a symmetric matrix")
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    if vals.size and vals[0] < -1e-10:
-        raise NumericalError(
-            "matrix is significantly indefinite", residual=float(-vals[0])
-        )
-    vals = np.clip(vals, 0.0, None)
-    S = (vecs * np.sqrt(vals)) @ vecs.T
-    return 0.5 * (S + S.T)
+        raise NumericalError("weighted Gram matrix is not positive definite")
+    X = np.linalg.inv(T) @ A.T  # cheaper than solve(T, A.T) with its m right-hand sides
+    c = np.sqrt(np.einsum("ij,ij->j", X, X))
+    if not c.min() > 0.0:  # also catches a NaN
+        raise NumericalError("zero direction in the Lewis decomposition")
+    return X, c
 
 
 def lewis_transform(A, w, iterations: int = 0) -> LewisPosition:
-    """Assemble the Lewis position from converged weights."""
+    """Assemble the Lewis position at weights w from one Cholesky factor."""
     A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
-    M = A.T @ (A / w[:, None])
-    T = _psd_sqrt(M)
-    X = np.linalg.solve(T, A.T)  # columns are T^{-1} a_i
-    c = np.linalg.norm(X, axis=0)
-    if np.any(c <= 0.0):
-        raise NumericalError("zero direction in the Lewis decomposition")
-    U_dirs = (X / c).T
-    S = (X * (1.0 / c)) @ X.T
-    residual = float(np.linalg.norm(S - np.eye(A.shape[1])))
-    return LewisPosition(w=w, T=T, c=c, U_dirs=U_dirs,
-                         residual=residual, iterations=iterations)
+    X, c = _factor_solve(A, w)
+    U = X / c  # columns u_i, so U @ X.T = sum_i c_i u_i u_i^T
+    residual = float(np.linalg.norm(U @ X.T - np.eye(A.shape[1])))
+    return LewisPosition(w=w, c=c, U_dirs=U.T, residual=residual, iterations=iterations)
 
 
 def lewis_position(Z: Zonotope | np.ndarray) -> LewisPosition:
@@ -99,13 +68,14 @@ def lewis_position(Z: Zonotope | np.ndarray) -> LewisPosition:
     Convergence within MAX_ITER_LEWIS iterations requires both a max
     relative weight change below TOL_LEWIS * 1e-2 and an isotropy
     residual below TOL_LEWIS; NumericalError carries the last relative
-    change otherwise.
+    change otherwise.  A weighted Gram matrix that is not positive
+    definite, as from a rank-deficient A, raises NumericalError.
     """
     A = Z.A if isinstance(Z, Zonotope) else np.asarray(Z, dtype=float)
     m, d = A.shape
     w = np.full(m, d / m)
     for it in range(1, MAX_ITER_LEWIS + 1):
-        w_new = _weight_map(A, w)
+        w_new = _factor_solve(A, w)[1]
         rel = float(np.max(np.abs(w_new - w) / w))
         w = w_new
         if rel <= TOL_LEWIS * 1e-2:

@@ -28,31 +28,25 @@ class OracleResult:
 def brute_force_min_discrepancy(Z: Zonotope, V: VectorFamily) -> OracleResult:
     """Exact minimum discrepancy over all sign vectors.
 
-    Enumerates half the sign cube (x and -x give the same norm) and
-    evaluates the gauge of every signed sum.  Ties resolve to the
-    lexicographically smallest sign vector, counting -1 < +1.
+    Enumerates half the sign cube, the x with x_1 = -1 (x and -x give the
+    same norm), in lexicographic order counting -1 < +1, and keeps the
+    first strict minimum: ties resolve to the lexicographically smallest
+    sign vector.
     """
     n = V.n
     if n > ORACLE_CAP:
         raise InputError(f"oracle capped at n <= {ORACLE_CAP}, got n = {n}")
     Vt = V.V.T
     best_val = math.inf
-    minimizers_max: tuple[float, ...] | None = None
+    best = None
     evaluations = 0
     for rest in itertools.product((-1.0, 1.0), repeat=n - 1):
-        x = np.array((1.0,) + rest)
+        x = np.array((-1.0,) + rest)
         val = zonotope_norm(Z, Vt @ x)
         evaluations += 1
-        key = tuple(x)
         if val < best_val:
             best_val = val
-            minimizers_max = key
-        elif val == best_val and key > minimizers_max:
-            minimizers_max = key
-    # Every minimizer found starts with +1; its negation starts with -1 and
-    # is therefore lexicographically smaller.  The smallest negation is the
-    # negation of the largest minimizer.
-    best = -np.array(minimizers_max)
+            best = x
     return OracleResult(best_signs=best.astype(int), opt=best_val,
                         evaluations=evaluations)
 

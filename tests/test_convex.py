@@ -267,11 +267,11 @@ class TestLpSolve:
 
     def test_drifted_tableau_resolves(self, monkeypatch):
         # A perturbed tableau at pivot 20 of the first attempt makes many
-        # d = 16, m = 64 gauge LPs end on a basis that breaks a bound; the
-        # refactor-every-pivot re-solve must then return HiGHS's gauge.
-        # The others can end on a feasible but suboptimal basis, which the
-        # final check (primal feasibility only) does not catch, so only
-        # the re-solved LPs are compared.
+        # d = 16, m = 64 gauge LPs end on a basis that breaks a bound, which
+        # the refactor-every-pivot re-solve repairs.  The others end on a
+        # feasible but suboptimal basis, which pricing on the final
+        # factorization must catch and pivot on from.  Either way the
+        # gauge must be HiGHS's.
         periods = []
 
         class Drift(convex._Simplex):
@@ -287,15 +287,14 @@ class TestLpSolve:
         monkeypatch.setattr(convex, "_Simplex", Drift)
         rng = np.random.default_rng(7)
         resolved = 0
-        for _ in range(20):
+        for _ in range(40):
             Z = Zonotope(generate_instance("random-zonotope", 16, 64, 1, rng).A)
             x = rng.standard_normal(16)
             periods.clear()
             value = zonotope_norm(Z, x)
             assert periods[0] == convex._Simplex.REFACTOR_EVERY
-            if periods[1:] == [1]:
-                resolved += 1
-                assert value == pytest.approx(highs_gauge(Z.A, x), abs=1e-7)
+            resolved += periods[1:] == [1]
+            assert value == pytest.approx(highs_gauge(Z.A, x), abs=1e-7)
         assert resolved >= 5, resolved
 
     def test_crash_basis_hand_built(self):

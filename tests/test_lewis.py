@@ -1,15 +1,14 @@
-"""Tests for Lewis weights, the isotropy transform, its PSD square root,
-and the ball sandwich."""
+"""Tests for Lewis weights, the isotropy transform from one Cholesky
+factor, and the ball sandwich."""
 
 import numpy as np
 import pytest
 
-from zonobalance import lewis
+from zonobalance import lewis, seeding
 from zonobalance.errors import InputError, NumericalError
+from zonobalance.instancefile import generate_instance
 from zonobalance.lewis import (
     TOL_LEWIS,
-    _psd_sqrt,
-    _weight_map,
     check_inclusions,
     k1_norm,
     lewis_position,
@@ -43,7 +42,7 @@ class TestWeights:
             w = np.full(30, 6 / 30)  # lewis_position's start, d / m
             history = []
             for _ in range(lewis_position(A).iterations):
-                w_new = _weight_map(A, w)
+                w_new = lewis_transform(A, w).c
                 history.append(float(np.max(np.abs(w_new - w) / w)))
                 w = w_new
             for i in range(5, len(history) - 1):
@@ -60,7 +59,6 @@ class TestWeights:
 class TestTransform:
     def test_identity(self):
         LP = lewis_transform(np.eye(4), np.ones(4))
-        assert np.allclose(LP.T, np.eye(4))
         assert np.allclose(LP.c, np.ones(4))
         assert np.allclose(LP.U_dirs, np.eye(4))
         assert LP.residual == pytest.approx(0.0, abs=1e-12)
@@ -70,7 +68,6 @@ class TestTransform:
         # T^{-1} a_i = 1/2 gives c_i = 1/2 with unit directions (1).
         A = np.array([[1.0], [1.0]])
         LP = lewis_transform(A, lewis_position(A).w)
-        assert LP.T == pytest.approx(np.array([[2.0]]))
         assert np.allclose(LP.c, [0.5, 0.5], atol=1e-10)
         assert np.allclose(LP.U_dirs, [[1.0], [1.0]])
 
@@ -136,7 +133,7 @@ class TestInclusions:
         from zonobalance.lewis import LewisPosition
 
         good = lewis_position(np.eye(3))
-        bad = LewisPosition(w=good.w, T=good.T, c=0.5 * good.c,
+        bad = LewisPosition(w=good.w, c=0.5 * good.c,
                             U_dirs=good.U_dirs, residual=good.residual,
                             iterations=good.iterations)
         rep = check_inclusions(bad, 200, np.random.default_rng(8))
@@ -150,28 +147,74 @@ class TestInclusions:
             check_inclusions(lewis_position(np.eye(2)), 0, np.random.default_rng(9))
 
 
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(_psd_sqrt(np.eye(3)), np.eye(3))
+def spectral_reference(A):
+    """The construction before the Cholesky factor: each step solves
+    M(w) X = A^T for w -> (a_i^T M(w)^{-1} a_i)^{1/2}, and the converged
+    weights are put in position by the eigh square root T = M(w)^{1/2}.
+    Returns (w, c, U_dirs, iterations) under lewis_position's stopping rule."""
+    m, d = A.shape
+    w = np.full(m, d / m)
+    for it in range(1, lewis.MAX_ITER_LEWIS + 1):
+        w_new = np.sqrt(np.einsum("ij,ji->i", A, np.linalg.solve(A.T @ (A / w[:, None]), A.T)))
+        rel = float(np.max(np.abs(w_new - w) / w))
+        w = w_new
+        if rel <= TOL_LEWIS * 1e-2:
+            vals, vecs = np.linalg.eigh(A.T @ (A / w[:, None]))
+            X = np.linalg.solve((vecs * np.sqrt(vals)) @ vecs.T, A.T)
+            c = np.linalg.norm(X, axis=0)
+            S = (X * (1.0 / c)) @ X.T
+            if np.linalg.norm(S - np.eye(d)) <= TOL_LEWIS:
+                return w, c, (X / c).T, it
+    raise AssertionError("reference iteration did not converge")
 
-    def test_diagonal(self):
-        assert np.allclose(_psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
-    def test_random_gram_reconstruction(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            B = rng.standard_normal((6, 4))
-            M = B.T @ B
-            S = _psd_sqrt(M)
-            assert np.allclose(S, S.T)
-            assert np.linalg.norm(S @ S - M) <= 1e-8 * (1 + np.linalg.norm(M))
-            vals = np.linalg.eigvalsh(S)
-            assert vals.min() >= -1e-10
+def reference_bodies():
+    """The 40 probes bodies of benchmark seed 1, then Gaussian bodies at
+    d = 1..32 with m = d..4d, some with duplicated rows.
 
-    def test_indefinite_rejected(self):
-        with pytest.raises(NumericalError):
-            _psd_sqrt(np.diag([1.0, -0.5]))
+    Both constructions form the Gram matrix, so their weights carry
+    rounding of order cond(A)^2 * eps; on these bodies that stays far
+    below the stopping tolerance."""
+    for i in range(40):
+        rs = seeding.run_seed(1, i)
+        yield generate_instance("random-zonotope", 16, 64, 16,
+                                np.random.default_rng(seeding.run_seed(rs, 0))).A
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 5, 8, 13, 21, 32):
+        for m in sorted({d, 2 * d, 4 * d}):
+            A = rng.standard_normal((m, d))
+            yield A
+            if m >= 2 * d:
+                k = m // 4
+                yield np.vstack([A[:m - k], A[:k]])
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            _psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+class TestAgainstSpectralReference:
+    def test_same_position_up_to_rotation(self):
+        count = 0
+        for A in reference_bodies():
+            w, c, U, iterations = spectral_reference(A)
+            LP = lewis_position(A)
+            assert LP.iterations == iterations
+            np.testing.assert_allclose(LP.w, w, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(LP.c, c, rtol=0.0, atol=1e-10)
+            # The factors differ by a rotation, which U U^T does not see.
+            np.testing.assert_allclose(LP.U_dirs @ LP.U_dirs.T, U @ U.T, rtol=0.0, atol=1e-10)
+            assert LP.residual <= TOL_LEWIS
+            count += 1
+        assert count == 80
+
+    def test_rank_deficient_raises(self):
+        # A duplicated column, a rank-3 product, fewer rows than columns,
+        # and a zero row, which leaves a zero direction.
+        rng = np.random.default_rng(12)
+        B = rng.standard_normal((12, 3))
+        for A, message in ((np.hstack([B, B[:, :1]]), "not positive definite"),
+                           (rng.standard_normal((20, 3)) @ rng.standard_normal((3, 5)),
+                            "not positive definite"),
+                           (rng.standard_normal((3, 5)), "not positive definite"),
+                           (np.vstack([np.eye(3), np.zeros((1, 3))]), "zero direction")):
+            with pytest.raises(NumericalError, match=message):
+                lewis_position(A)
+            with pytest.raises(NumericalError, match=message):
+                lewis_transform(A, np.ones(A.shape[0]))
