@@ -33,7 +33,6 @@ from .lewis import (
     check_inclusions,
     k1_norm,
     lewis_position,
-    lewis_transform,
 )
 from .verify import (
     OracleResult,
@@ -62,7 +61,7 @@ __all__ = [
     "RoundRecord", "SpanError", "VectorFamily", "WidthEstimate", "Zonotope",
     "ZonobalanceError", "balance", "bound_report",
     "brute_force_min_discrepancy", "check_inclusions",
-    "generate_instance", "k1_norm", "lewis_position", "lewis_transform", "lp_solve",
+    "generate_instance", "k1_norm", "lewis_position", "lp_solve",
     "parse_instance", "partial_coloring", "polar_identity_check", "polar_norm",
     "preprocess", "project_polyhedron", "reduce_generators",
     "round_scale", "serialize_instance", "width_estimate", "zonotope_norm",

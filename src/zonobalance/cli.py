@@ -163,6 +163,8 @@ def _cmd_norm(args) -> int:
     if x.shape[0] != change.original_d:
         raise InputError(
             f"--x has dimension {x.shape[0]}, instance has {change.original_d}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("--x contains NaN or infinity")
     value = zonotope_norm(Z, change.rows_to_reduced(x[None, :])[0])
     _write(repr(value), args.out)
     return 0

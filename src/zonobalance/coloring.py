@@ -118,14 +118,14 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
                      retries: int = DEFAULT_RETRIES, *, rng) -> PartialColoringStep:
     """One partial-coloring round over the active coordinates.
 
-    `V` holds the active vectors only and `y` their fractional values,
-    all strictly inside (-1, 1).  Returns the new fractional point (at
-    least half its entries exact signs), the measured movement norm, and
-    the accepted scale.  The scale starts at c0 * sqrt(k log2(2d/k)) and
-    doubles after every `retries` failed Gaussian draws from `rng`; a
-    draw fails when fewer than half the coordinates clamp or the
-    movement exceeds the scale.  At most two active coordinates are
-    colored by exact enumeration instead.
+    `V` holds the active vectors only, at most d of them, and `y` their
+    fractional values, all strictly inside (-1, 1).  Returns the new
+    fractional point (at least half its entries exact signs), the
+    measured movement norm, and the accepted scale.  The scale starts at
+    c0 * sqrt(k log2(2d/k)) and doubles after every `retries` failed
+    Gaussian draws from `rng`; a draw fails when fewer than half the
+    coordinates clamp or the movement exceeds the scale.  At most two
+    active coordinates are colored by exact enumeration instead.
     """
     if V.d != Z.d:
         raise InputError(f"vectors have dimension {V.d}, the body has {Z.d}")
@@ -135,6 +135,8 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
         raise InputError("y must match the number of active vectors")
     if k < 1:
         raise InputError("nothing to color")
+    if k > Z.d:
+        raise InputError(f"more active vectors ({k}) than the body's dimension ({Z.d})")
     if np.any(np.abs(y) >= 1.0):
         raise InputError("active coordinates must be strictly inside (-1, 1)")
 

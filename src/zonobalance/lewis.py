@@ -1,12 +1,13 @@
 """Lewis position of the polar body: weights and unit directions.
 
 The l1 Lewis weights are the positive fixed point of w_i = |T^{-1} a_i|
-with T the Cholesky factor of M(w) = A^T diag(w)^{-1} A.  The plain
-fixed-point iteration contracts for this exponent (Lewis, Studia Math.
-1978; Cohen & Peng, STOC 2015), so only an iteration cap guards it.
-Any factor of M(w) gives the same position up to a rotation: at the
-fixed point x_i = T^{-1} a_i gives unit directions u_i = x_i / |x_i|
-and weights c_i = |x_i| = w_i with sum_i c_i u_i u_i^T = I.
+for any factor T T^T = A^T diag(w)^{-1} A; the plain fixed-point
+iteration contracts for this exponent (Lewis, Studia Math. 1978; Cohen &
+Peng, STOC 2015), so only an iteration cap guards it.  No step forms that
+Gram matrix, which would square the condition number: with the thin QR
+Q R = diag(w)^{-1/2} A and diag(R) > 0, T = R^T and x_i = T^{-1} a_i is
+sqrt(w_i) q_i.  At the fixed point c_i = |x_i| = w_i, and the unit
+directions u_i = x_i / c_i satisfy sum_i c_i u_i u_i^T = I.
 """
 
 from __future__ import annotations
@@ -39,27 +40,21 @@ class LewisPosition:
         return self.w.shape[0]
 
 
-def _factor_solve(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X = T^{-1} A^T for the Cholesky factor T of M(w), and its column norms."""
-    try:
-        T = np.linalg.cholesky(A.T @ (A / w[:, None]))
-    except np.linalg.LinAlgError:
+def _lewis_step(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows x_i = T^{-1} a_i at weights w, from the thin QR of
+    diag(w)^{-1/2} A, and their norms c_i = |x_i|."""
+    m, d = A.shape
+    sqrt_w = np.sqrt(w)[:, None]
+    Q, R = np.linalg.qr(A / sqrt_w)
+    diag = np.diagonal(R)
+    # Column j is dependent on those before it within an angle of 1e-11.
+    if m < d or not np.all(np.abs(diag) > 1e-11 * np.linalg.norm(R, axis=0)):
         raise NumericalError("weighted Gram matrix is not positive definite")
-    X = np.linalg.inv(T) @ A.T  # cheaper than solve(T, A.T) with its m right-hand sides
-    c = np.sqrt(np.einsum("ij,ij->j", X, X))
+    X = Q * np.sign(diag) * sqrt_w
+    c = np.sqrt(np.einsum("ij,ij->i", X, X))
     if not c.min() > 0.0:  # also catches a NaN
         raise NumericalError("zero direction in the Lewis decomposition")
     return X, c
-
-
-def lewis_transform(A, w, iterations: int = 0) -> LewisPosition:
-    """Assemble the Lewis position at weights w from one Cholesky factor."""
-    A = np.asarray(A, dtype=float)
-    w = np.asarray(w, dtype=float)
-    X, c = _factor_solve(A, w)
-    U = X / c  # columns u_i, so U @ X.T = sum_i c_i u_i u_i^T
-    residual = float(np.linalg.norm(U @ X.T - np.eye(A.shape[1])))
-    return LewisPosition(w=w, c=c, U_dirs=U.T, residual=residual, iterations=iterations)
 
 
 def lewis_position(Z: Zonotope | np.ndarray) -> LewisPosition:
@@ -67,21 +62,24 @@ def lewis_position(Z: Zonotope | np.ndarray) -> LewisPosition:
 
     Convergence within MAX_ITER_LEWIS iterations requires both a max
     relative weight change below TOL_LEWIS * 1e-2 and an isotropy
-    residual below TOL_LEWIS; NumericalError carries the last relative
-    change otherwise.  A weighted Gram matrix that is not positive
-    definite, as from a rank-deficient A, raises NumericalError.
+    residual below TOL_LEWIS; the step at the converged weights gives
+    the position, and NumericalError carries the last relative change
+    otherwise.  A rank-deficient A, or fewer rows than columns, raises
+    NumericalError.
     """
     A = Z.A if isinstance(Z, Zonotope) else np.asarray(Z, dtype=float)
     m, d = A.shape
     w = np.full(m, d / m)
+    X, c = _lewis_step(A, w)
     for it in range(1, MAX_ITER_LEWIS + 1):
-        w_new = _factor_solve(A, w)[1]
-        rel = float(np.max(np.abs(w_new - w) / w))
-        w = w_new
+        rel = float(np.max(np.abs(c - w) / w))
+        w = c
+        X, c = _lewis_step(A, w)
         if rel <= TOL_LEWIS * 1e-2:
-            position = lewis_transform(A, w, iterations=it)
-            if position.residual <= TOL_LEWIS:
-                return position
+            U = X / c[:, None]
+            residual = float(np.linalg.norm(U.T @ X - np.eye(d)))
+            if residual <= TOL_LEWIS:
+                return LewisPosition(w=w, c=c, U_dirs=U, residual=residual, iterations=it)
     raise NumericalError("Lewis weight iteration did not converge", residual=rel)
 
 

@@ -11,6 +11,7 @@ l1 expression ||A y||_1 and needs no LP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,19 +96,25 @@ def zonotope_norm(Z: Zonotope, x) -> float:
     on the generators s_i a_i, s_i = -sign of the least-squares
     preimage's u_i, which span the same body, so that start is the side
     of that preimage: a guess at the optimal side (the sign of <a_i, y*>
-    for the dual optimum y*) that saves pivots.
+    for the dual optimum y*) that saves pivots.  Both branches see x
+    scaled by the power of two that puts max|x| in [1, 2), so the gauge
+    is exactly homogeneous under such scalings.  NaN or infinite entries
+    raise InputError, and a gauge past the float range NumericalError.
     """
     x = np.asarray(x, dtype=float)
     m, d = Z.m, Z.d
     if x.shape != (d,):
         raise InputError(f"x must have dimension {d}")
-    nonzero = np.flatnonzero(x)
-    if nonzero.size == 0:
+    top = float(np.abs(x).max())
+    if not math.isfinite(top):  # also catches a NaN
+        raise InputError("x contains NaN or infinity")
+    if top == 0.0:
         return 0.0
     # Canonicalize the sign so that x and -x take the identical path and
-    # the gauge is exactly symmetric.
-    if x[nonzero[0]] < 0.0:
-        x = -x
+    # the gauge is exactly symmetric, and the scale so that the LP's
+    # absolute tolerances see max|x| in [1, 2), a power-of-two scaling.
+    e = math.frexp(top)[1] - 1
+    x = np.ldexp(-x if x[np.flatnonzero(x)[0]] < 0.0 else x, -e)
     if m == d:
         u = np.linalg.solve(Z.A.T, x)
         value = float(np.max(np.abs(u)))
@@ -116,21 +123,25 @@ def zonotope_norm(Z: Zonotope, x) -> float:
         if not (np.isfinite(value) and resid <= 100 * TOL_FEAS * value):
             raise NumericalError("closed-form preimage failed the residual check",
                                  residual=resid)
-        return value
-    u_ls = np.linalg.lstsq(Z.A.T, x, rcond=None)[0]
-    s = np.where(u_ls > 0.0, -1.0, 1.0)
-    E = np.hstack([(Z.A * s[:, None]).T, -x[:, None]])
-    P = Polyhedron(
-        m + 1, E, np.zeros(d),
-        np.concatenate([-np.ones(m), [0.0]]),
-        np.concatenate([np.ones(m), [np.inf]]),
-    )
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    sol = lp_solve(-c, P)  # max lambda
-    if sol.status != "optimal" or -sol.objective <= 1e-14:
-        raise SpanError("x does not lie in the span of the generators")
-    return 1.0 / -sol.objective
+    else:
+        u_ls = np.linalg.lstsq(Z.A.T, x, rcond=None)[0]
+        s = np.where(u_ls > 0.0, -1.0, 1.0)
+        E = np.hstack([(Z.A * s[:, None]).T, -x[:, None]])
+        P = Polyhedron(
+            m + 1, E, np.zeros(d),
+            np.concatenate([-np.ones(m), [0.0]]),
+            np.concatenate([np.ones(m), [np.inf]]),
+        )
+        c = np.zeros(m + 1)
+        c[m] = 1.0
+        sol = lp_solve(-c, P)  # max lambda
+        if sol.status != "optimal" or -sol.objective <= 1e-14:
+            raise SpanError("x does not lie in the span of the generators")
+        value = 1.0 / -sol.objective
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise NumericalError("the gauge overflows the float range")
 
 
 def polar_norm(Z: Zonotope, y) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 import zonobalance
 from zonobalance.cli import main
-from zonobalance.instancefile import generate_instance, serialize_instance
+from zonobalance.instancefile import InstanceFile, generate_instance, serialize_instance
 from zonobalance.seeding import run_seed, splitmix64
 
 
@@ -28,6 +28,22 @@ def spencer6(tmp_path):
     inst = generate_instance("spencer-random", 6, None, 6, np.random.default_rng(2))
     path = tmp_path / "spencer6.txt"
     path.write_text(serialize_instance(inst))
+    return str(path)
+
+
+@pytest.fixture
+def tall4(tmp_path):
+    path = tmp_path / "tall4.txt"
+    assert main(["gen", "--kind", "random-zonotope", "--d", "4", "--m", "16", "--n", "4",
+                 "--seed", "1", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.fixture
+def spencer4(tmp_path):
+    path = tmp_path / "spencer4.txt"
+    assert main(["gen", "--kind", "spencer-random", "--d", "4", "--n", "4",
+                 "--seed", "1", "--out", str(path)]) == 0
     return str(path)
 
 
@@ -121,6 +137,13 @@ class TestExitCodes:
         assert code == 2
         assert "numerical" in err.lower()
 
+    @pytest.mark.parametrize("body", ["tall4", "spencer4"])
+    @pytest.mark.parametrize("x", ["nan 0 0 0", "inf 0 0 0", "0 -inf 1 0"])
+    def test_non_finite_vector_exits_one(self, capsys, request, body, x):
+        code, _, err = run_cli(capsys, "norm", request.getfixturevalue(body), "--x", x)
+        assert code == 1
+        assert "NaN or infinity" in err
+
     @pytest.mark.parametrize("flags", [
         ("--c0", "0", "--exact-finish"),
         ("--c0", "-1", "--exact-finish"),
@@ -208,6 +231,29 @@ class TestSubcommands:
         assert code == 0
         assert "trials: 20" in out
         assert len(built) == 1
+
+    def test_norm_at_far_scales(self, capsys, tall4):
+        code, out, _ = run_cli(capsys, "norm", tall4, "--x", "1 0 0 0")
+        assert code == 0
+        unit = float(out)
+        for x, scale, rel in (("1e15 0 0 0", 1e15, 1e-12), ("1e-320 0 0 0", 1e-320, 1e-3)):
+            code, out, err = run_cli(capsys, "norm", tall4, "--x", x)
+            assert code == 0, err
+            assert float(out) == pytest.approx(scale * unit, rel=rel)
+
+    def test_lewis_and_width_on_row_scaled_body(self, capsys, tmp_path):
+        # Rows scaled by up to 1000x either way make the weighted Gram
+        # matrix too ill-conditioned for a Cholesky factor.
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((32, 32)) * np.exp(rng.uniform(-np.log(1000), np.log(1000), 32))[:, None]
+        path = tmp_path / "scaled.txt"
+        path.write_text(serialize_instance(InstanceFile(A, np.zeros((1, 32)))))
+        code, out, err = run_cli(capsys, "lewis", str(path))
+        assert code == 0, err
+        fields = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert float(fields["sum_weights"]) == pytest.approx(32.0, abs=1e-9)
+        code, out, err = run_cli(capsys, "width", str(path), "--samples", "5")
+        assert code == 0, err
 
     def test_width_output(self, capsys, cube4):
         code, out, _ = run_cli(capsys, "width", cube4, "--samples", "30")

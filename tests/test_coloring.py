@@ -276,6 +276,14 @@ class TestBalance:
         with pytest.raises(InputError):
             balance(Z, V)
 
+    def test_partial_coloring_rejects_more_active_vectors_than_d(self):
+        # Past d active vectors the round scale is 0 (k = 2d) or undefined.
+        Z = Zonotope(np.eye(4))
+        for k in (5, 8, 9):
+            V = VectorFamily(0.1 * np.eye(4)[np.arange(k) % 4])
+            with pytest.raises(InputError, match=f"more active vectors \\({k}\\)"):
+                partial_coloring(Z, V, np.zeros(k), rng=np.random.default_rng(0))
+
     def test_vector_dimension_must_match_body(self):
         Z, V = Zonotope(np.eye(4)), VectorFamily(0.1 * np.ones((3, 2)))
         with pytest.raises(InputError, match="dimension 2, the body has 4"):

@@ -1,5 +1,5 @@
-"""Tests for Lewis weights, the isotropy transform from one Cholesky
-factor, and the ball sandwich."""
+"""Tests for Lewis weights, the isotropic position from one thin QR per
+step, and the ball sandwich."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from zonobalance.lewis import (
     check_inclusions,
     k1_norm,
     lewis_position,
-    lewis_transform,
 )
 
 
@@ -42,7 +41,7 @@ class TestWeights:
             w = np.full(30, 6 / 30)  # lewis_position's start, d / m
             history = []
             for _ in range(lewis_position(A).iterations):
-                w_new = lewis_transform(A, w).c
+                w_new = lewis._lewis_step(A, w)[1]
                 history.append(float(np.max(np.abs(w_new - w) / w)))
                 w = w_new
             for i in range(5, len(history) - 1):
@@ -58,16 +57,17 @@ class TestWeights:
 
 class TestTransform:
     def test_identity(self):
-        LP = lewis_transform(np.eye(4), np.ones(4))
+        LP = lewis_position(np.eye(4))
         assert np.allclose(LP.c, np.ones(4))
         assert np.allclose(LP.U_dirs, np.eye(4))
         assert LP.residual == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_duplicated_row(self):
         # From the fixed point w = 1/2: M = 2/w = 4, so T = 2, and
-        # T^{-1} a_i = 1/2 gives c_i = 1/2 with unit directions (1).
+        # T^{-1} a_i = 1/2 gives c_i = 1/2 with unit directions (1); the
+        # sign rule keeps them (1), not (-1).
         A = np.array([[1.0], [1.0]])
-        LP = lewis_transform(A, lewis_position(A).w)
+        LP = lewis_position(A)
         assert np.allclose(LP.c, [0.5, 0.5], atol=1e-10)
         assert np.allclose(LP.U_dirs, [[1.0], [1.0]])
 
@@ -148,7 +148,7 @@ class TestInclusions:
 
 
 def spectral_reference(A):
-    """The construction before the Cholesky factor: each step solves
+    """A construction from the Gram matrix M(w): each step solves
     M(w) X = A^T for w -> (a_i^T M(w)^{-1} a_i)^{1/2}, and the converged
     weights are put in position by the eigh square root T = M(w)^{1/2}.
     Returns (w, c, U_dirs, iterations) under lewis_position's stopping rule."""
@@ -172,9 +172,10 @@ def reference_bodies():
     """The 40 probes bodies of benchmark seed 1, then Gaussian bodies at
     d = 1..32 with m = d..4d, some with duplicated rows.
 
-    Both constructions form the Gram matrix, so their weights carry
-    rounding of order cond(A)^2 * eps; on these bodies that stays far
-    below the stopping tolerance."""
+    The reference forms the Gram matrix, so its weights carry rounding
+    of order cond(A)^2 * eps; on these bodies that stays far below the
+    stopping tolerance.  TestIllConditioned covers the bodies where it
+    does not."""
     for i in range(40):
         rs = seeding.run_seed(1, i)
         yield generate_instance("random-zonotope", 16, 64, 16,
@@ -217,4 +218,46 @@ class TestAgainstSpectralReference:
             with pytest.raises(NumericalError, match=message):
                 lewis_position(A)
             with pytest.raises(NumericalError, match=message):
-                lewis_transform(A, np.ones(A.shape[0]))
+                lewis._lewis_step(A, np.ones(A.shape[0]))
+
+
+def row_scaled(rng, m, d, spread):
+    """Gaussian m x d generators, rows scaled by exp(U(-ln spread, ln spread))."""
+    scales = np.exp(rng.uniform(-np.log(spread), np.log(spread), m))
+    return rng.standard_normal((m, d)) * scales[:, None]
+
+
+class TestIllConditioned:
+    """Bodies whose Gram matrix M(w) is too ill-conditioned for the
+    reference above, judged by what the exact weights must satisfy."""
+
+    def test_invariant_under_column_transform(self):
+        # The Lewis weights of A G equal those of A for any invertible G;
+        # here G has singular values log-spaced from 1 to 1e6.
+        rng = np.random.default_rng(13)
+        count = 0
+        for d in (2, 3, 5, 8, 13, 16, 21, 24, 32, 4):
+            for m in (d, 2 * d, 4 * d):
+                A = rng.standard_normal((m, d))
+                U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+                V = np.linalg.qr(rng.standard_normal((d, d)))[0]
+                G = (U * np.logspace(0, 6, d)) @ V.T
+                w = lewis_position(A).w
+                np.testing.assert_allclose(lewis_position(A @ G).w, w, rtol=1e-9, atol=0.0)
+                count += 1
+        assert count == 30
+
+    def test_row_scaled_square_bodies(self):
+        # A square body's Lewis weights are all 1, however its rows scale.
+        rng = np.random.default_rng(14)
+        for d in (4, 8, 12, 16, 20, 24, 28, 32):
+            for spread in (100.0, 1000.0):
+                LP = lewis_position(row_scaled(rng, d, d, spread))
+                np.testing.assert_allclose(LP.w, 1.0, rtol=0.0, atol=1e-12)
+                assert LP.residual <= TOL_LEWIS
+
+    def test_box_with_far_apart_sides(self):
+        # Generators that differ in length by 1e16 are still independent.
+        LP = lewis_position(np.diag([1e-8, 1.0, 1e8]))
+        np.testing.assert_allclose(LP.w, 1.0, rtol=0.0, atol=1e-12)
+        assert LP.residual <= TOL_LEWIS

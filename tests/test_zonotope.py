@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zonobalance import coloring, convex, zonotope
 from zonobalance.errors import InputError, MembershipError, NumericalError, SpanError
@@ -87,6 +89,26 @@ class TestNorm:
         for _ in range(10):
             x = rng.standard_normal(3)
             assert zonotope_norm(Z, x) == zonotope_norm(Z, -x)
+
+    # A square body and one with m = 4d; the scaled vectors below stay
+    # in the normal float range, where a power-of-two scaling is exact.
+    SCALED_BODIES = (Zonotope(np.random.default_rng(3).standard_normal((4, 4))),
+                     Zonotope(np.random.default_rng(4).standard_normal((16, 4))))
+
+    @given(body=st.sampled_from(SCALED_BODIES),
+           entries=st.lists(st.integers(-1000, 1000), min_size=4, max_size=4),
+           k=st.integers(-1000, 1000))
+    def test_exactly_homogeneous_under_powers_of_two(self, body, entries, k):
+        x = np.array(entries) / 1000.0
+        value = zonotope_norm(body, np.ldexp(x, k))
+        assert value == np.ldexp(zonotope_norm(body, x), k)
+        assert zonotope_norm(body, -np.ldexp(x, k)) == value
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        for A in (np.eye(2), THREE_GEN):
+            with pytest.raises(InputError, match="NaN or infinity"):
+                zonotope_norm(Zonotope(A), [bad, 0.0])
 
 
 def highs_gauge(A, x):
