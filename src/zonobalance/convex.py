@@ -11,10 +11,13 @@ so dense linear algebra is adequate.
 
 Every optimal LP point is checked against its bounds after the final
 refactorization, and priced again there: a variable still eligible to
-enter resumes the pivots from the fresh basis.  When the rank-1 tableau
-updates have drifted far enough to break a bound, the LP is solved
-again with a refactorization at every pivot, and NumericalError is
-raised only if that fails too.
+enter resumes the pivots from the fresh basis.  A pivot below 1e-9 of
+its column's largest entry, read from a tableau updated since its last
+refactorization, is not taken from there: the tableau is refactorized
+and priced again first.  When the rank-1 tableau updates have drifted
+far enough to break a bound anyway, the LP is solved again with a
+refactorization at every pivot, and NumericalError is raised only if
+that fails too.
 """
 
 from __future__ import annotations
@@ -179,12 +182,26 @@ class _Simplex:
         return d
 
     def _run_phase(self, c: np.ndarray, stop_at_feasible: bool = False) -> str:
+        # Apart from the rank-1 update, a pivot's cost is numpy call
+        # overhead on arrays of a few hundred entries.  So the loop keeps
+        # its state in locals and updates it in place: the entry masks
+        # change only for the entering and leaving variable, and the
+        # bounds of the basic variables only at the pivot row.
+        x, lower, upper, basis, status = self.x, self.lower, self.upper, self.basis, self.status
         tol_d = TOL_FEAS * (1.0 + np.max(np.abs(c), initial=0.0))
-        span = self.upper - self.lower
+        span = upper - lower
         movable = span > 0.0
+        nonbasic = status != _BASIC
+        # Nonbasic variables that may enter upward (from their lower bound
+        # or free) and downward (from their upper bound or free).
+        can_up = nonbasic & movable & ((status == _AT_LOWER) | (status == _FREE))
+        can_dn = nonbasic & movable & ((status == _AT_UPPER) | (status == _FREE))
+        lb, ub = lower[basis], upper[basis]
+        t_block = np.empty(basis.size)
+        n = self.n_orig
         phase_pivots = 0
         while True:
-            if stop_at_feasible and self.x[self.n_orig:].sum() <= self.feas_tol:
+            if stop_at_feasible and x[n:].sum() <= self.feas_tol:
                 return "optimal"
             if self.pivots > self.max_iter:
                 raise NumericalError(
@@ -192,62 +209,80 @@ class _Simplex:
                     residual=float(np.max(np.abs(self._residual()), initial=0.0)),
                 )
             d = self._reduced_costs(c)
-            nonbasic = self.status != _BASIC
-            up_ok = nonbasic & movable & (
-                (self.status == _AT_LOWER) | (self.status == _FREE)) & (d < -tol_d)
-            dn_ok = nonbasic & movable & (
-                (self.status == _AT_UPPER) | (self.status == _FREE)) & (d > tol_d)
+            up_ok = d < -tol_d
+            up_ok &= can_up
+            dn_ok = d > tol_d
+            dn_ok &= can_dn
             eligible = up_ok | dn_ok
-            if not np.any(eligible):
-                return "optimal"
+            # An eligible variable scores |d| > tol_d > 0, any other -1.
             if phase_pivots < self.dantzig_limit:
                 score = np.where(eligible, np.abs(d), -1.0)
-                j = int(np.argmax(score))
+                j = int(score.argmax())
+                if score[j] < 0.0:
+                    return "optimal"
             else:
-                j = int(np.argmax(eligible))  # Bland: lowest eligible index
-            sigma = 1.0 if up_ok[j] else -1.0
+                j = int(eligible.argmax())  # Bland: lowest eligible index
+                if not eligible[j]:
+                    return "optimal"
+            up = bool(up_ok[j])
+            sigma = 1.0 if up else -1.0
 
-            col = self.W[:, j]
+            W = self.W
+            col = W[:, j]
             delta = sigma * col
             # Ratio test: basic variables hit a bound, or the entering
-            # variable flips to its opposite bound.
-            t_own = span[j]
-            xb = self.x[self.basis]
-            lb = self.lower[self.basis]
-            ub = self.upper[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_low = np.where(delta > 1e-11, (xb - lb) / delta, np.inf)
-                t_up = np.where(delta < -1e-11, (xb - ub) / delta, np.inf)
-            t_block = np.minimum(t_low, t_up)
-            t_block = np.where(np.isnan(t_block), np.inf, t_block)
+            # variable flips to its opposite bound.  Rows with a tiny
+            # step never block, and neither does a NaN ratio.
+            xb = x[basis]
+            t_block.fill(np.inf)
+            np.divide(xb - lb, delta, out=t_block, where=delta > 1e-11)
+            np.divide(xb - ub, delta, out=t_block, where=delta < -1e-11)
+            np.fmin(t_block, np.inf, out=t_block)
             np.maximum(t_block, 0.0, out=t_block)
-            t_min = float(np.min(t_block, initial=np.inf))
+            t_min = float(np.minimum.reduce(t_block, initial=np.inf))
+            t_own = span[j]
 
             if t_own <= t_min:
-                if not np.isfinite(t_own):
+                if t_own == np.inf:
                     return "unbounded"
                 # Bound flip, no basis change.
-                self.x[self.basis] -= t_own * delta
-                self.x[j] = self.upper[j] if sigma > 0 else self.lower[j]
-                self.status[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
+                xb -= t_own * delta
+                x[basis] = xb
+                x[j] = upper[j] if up else lower[j]
+                status[j] = _AT_UPPER if up else _AT_LOWER
+                can_up[j] = not up
+                can_dn[j] = up
             else:
-                ties = np.flatnonzero(t_block <= t_min + 1e-15)
-                p = int(ties[np.argmin(self.basis[ties])])
-                piv = self.W[p, j]
-                q = int(self.basis[p])
-                self.x[self.basis] -= t_min * delta
-                self.x[j] = self.x[j] + sigma * t_min
-                hit_lower = delta[p] > 0
-                self.x[q] = self.lower[q] if hit_lower else self.upper[q]
-                self.status[q] = _AT_LOWER if hit_lower else _AT_UPPER
-                self.W[p, :] /= piv
-                wj = self.W[:, j].copy()
+                ties = (t_block <= t_min + 1e-15).nonzero()[0]
+                p = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
+                piv = W[p, j]
+                # A pivot tiny against its column, read from an updated
+                # tableau, may be rounding: refactorize and price again.
+                # A fresh tableau's pivot is taken as it is.
+                if self.since_refactor and abs(piv) < 1e-9 * np.maximum.reduce(np.abs(delta)):
+                    self._refactor()
+                    continue
+                q = int(basis[p])
+                xb -= t_min * delta
+                x[basis] = xb
+                x[j] = x[j] + sigma * t_min
+                hit_lower = bool(delta[p] > 0)
+                x[q] = lower[q] if hit_lower else upper[q]
+                status[q] = _AT_LOWER if hit_lower else _AT_UPPER
+                can_up[q] = hit_lower and movable[q]
+                can_dn[q] = not hit_lower and movable[q]
+                row = W[p]
+                row /= piv
+                wj = W[:, j].copy()
                 wj[p] = 0.0
-                self.W -= np.outer(wj, self.W[p, :])
-                self.W[:, j] = 0.0
-                self.W[p, j] = 1.0
-                self.basis[p] = j
-                self.status[j] = _BASIC
+                W -= wj[:, None] * row
+                W[:, j] = 0.0
+                W[p, j] = 1.0
+                basis[p] = j
+                lb[p] = lower[j]
+                ub[p] = upper[j]
+                status[j] = _BASIC
+                can_up[j] = can_dn[j] = False
                 self.since_refactor += 1
                 if self.since_refactor >= self.refactor_every:
                     self._refactor()

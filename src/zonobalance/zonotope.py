@@ -168,9 +168,13 @@ class BasisChange:
         return self.Q.shape[1]
 
     def rows_to_reduced(self, X) -> np.ndarray:
-        """Reduced coordinates X Q of the rows of X; raises SpanError naming
+        """Reduced coordinates X Q of the rows of X; raises InputError
+        naming the first row with a NaN or infinite entry, and SpanError
         the first row whose residual off the span exceeds TOL_SPAN."""
         X = np.asarray(X, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise InputError(f"vector {int(bad[0])} contains NaN or infinity")
         X_red = X @ self.Q
         resid = np.linalg.norm(X - X_red @ self.Q.T, axis=1)
         outside = np.flatnonzero(resid > TOL_SPAN * (1.0 + np.linalg.norm(X, axis=1)))

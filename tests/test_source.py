@@ -1,0 +1,25 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import zonobalance
+
+SRC = Path(zonobalance.__file__).resolve().parent
+
+
+def test_no_assert_statements():
+    # Failures are typed errors: `python -O` strips assert statements,
+    # and with them any check they make.  The test itself fails through
+    # pytest.fail, so that it also holds when run under -O.
+    paths = sorted(SRC.glob("*.py"))
+    if not paths:
+        pytest.fail(f"no library source found in {SRC}")
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    if found:
+        pytest.fail("assert statements in the library: " + ", ".join(found))

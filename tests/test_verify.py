@@ -134,17 +134,33 @@ class TestPolarIdentity:
 
     def test_drifted_section_lp_recovers(self, monkeypatch):
         # On this instance the rank-1 tableau updates of one section LP
-        # drift onto a near-singular basis, and without the re-solve the
-        # solver returned a point breaking a bound by 6.7e-3 with value
-        # 1.31448 for a gauge of 1.30029.  The spy shows that the
-        # refactor-every-pivot re-solve runs; HiGHS recomputes each gauge
-        # independently.
-        refactor_periods = []
+        # drift onto a near-singular basis: without a guard the solver
+        # returned a point breaking a bound by 6.7e-3 with value 1.31448
+        # for a gauge of 1.30029, and a refactor-every-pivot re-solve had
+        # to repair it.  The small-pivot guard now refactorizes at pivot
+        # 155, before the pivot that led there, so no re-solve runs.  HiGHS
+        # recomputes each gauge independently.
+        refactor_periods, guarded = [], []
 
         class SpySimplex(convex._Simplex):
+            in_phase = False
+
             def __init__(self, P, c, refactor_every=convex._Simplex.REFACTOR_EVERY):
                 refactor_periods.append(refactor_every)
                 super().__init__(P, c, refactor_every)
+
+            def _run_phase(self, c, stop_at_feasible=False):
+                self.in_phase = True
+                try:
+                    return super()._run_phase(c, stop_at_feasible)
+                finally:
+                    self.in_phase = False
+
+            def _refactor(self):
+                # Inside a phase, off the schedule: the guard's call.
+                if self.in_phase and 0 < self.since_refactor < self.refactor_every:
+                    guarded.append(self.pivots)
+                super()._refactor()
 
         monkeypatch.setattr(convex, "_Simplex", SpySimplex)
         rs = run_seed(3, 72)
@@ -154,7 +170,8 @@ class TestPolarIdentity:
         gap = polar_identity_check(Z, V, range(16), 4,
                                    np.random.default_rng(run_seed(rs, 1)))
         assert gap <= 1e-6
-        assert 1 in refactor_periods
+        assert guarded == [155]
+        assert 1 not in refactor_periods
         rng = np.random.default_rng(run_seed(rs, 1))  # the check's y stream
         for _ in range(4):
             x = V.V.T @ rng.standard_normal(16)

@@ -329,6 +329,18 @@ class TestPreprocess:
                     change.rows_to_reduced(V)
         assert None in outcomes and len(outcomes) > 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_before_span_test(self, bad):
+        # A NaN residual compares false against the tolerance, so the
+        # span test alone would map [nan, 0, 5] into the plane.
+        _, change = reduce_generators([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        X = np.array([[1.0, 0.0, 0.0], [bad, 0.0, 5.0]])
+        with pytest.raises(InputError, match="vector 1 contains NaN or infinity") as exc:
+            change.rows_to_reduced(X)
+        assert not isinstance(exc.value, SpanError)
+        with pytest.raises(InputError, match="NaN or infinity"):
+            preprocess([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], X[1:])
+
     def test_vector_outside_body_rejected_with_index(self):
         with pytest.raises(MembershipError) as exc:
             preprocess(np.eye(2), np.array([[0.5, 0.0], [3.0, 0.0]]))
