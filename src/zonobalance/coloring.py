@@ -123,9 +123,10 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
     fractional point (at least half its entries exact signs), the
     measured movement norm, and the accepted scale.  The scale starts at
     c0 * sqrt(k log2(2d/k)) and doubles after every `retries` failed
-    Gaussian draws from `rng`; a draw fails when fewer than half the
-    coordinates clamp or the movement exceeds the scale.  At most two
-    active coordinates are colored by exact enumeration instead.
+    Gaussian draws from `rng`; a draw fails when its projection raises
+    NumericalError (the final error counts these), when fewer than half
+    the coordinates clamp, or when the movement exceeds the scale.  At
+    most two active coordinates are colored by exact enumeration instead.
     """
     if V.d != Z.d:
         raise InputError(f"vectors have dimension {V.d}, the body has {Z.d}")
@@ -145,10 +146,12 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
 
     need = (k + 1) // 2
     attempts = 0
+    failed = 0  # draws whose projection raised NumericalError
     best_count = 0
     scales = _doubled_scales(k, Z.d, c0, lambda: (
         f"partial coloring failed after {attempts} draws "
-        f"(best tight count {best_count} of {need} needed)"))
+        f"(best tight count {best_count} of {need} needed); "
+        f"{failed} of {attempts} projections failed"))
     for c, s in scales:
         P = _lift(Z, V.V, -1.0 - y, 1.0 - y, s)
         for _ in range(retries):
@@ -157,6 +160,7 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
             try:
                 z = project_polyhedron(g, P, z0=np.zeros(k + Z.m))
             except NumericalError:
+                failed += 1
                 continue
             y_new = y + z[:k]
             tight = np.abs(y_new) >= 1.0 - TOL_TIGHT

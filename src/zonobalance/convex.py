@@ -6,8 +6,9 @@ equality constraints plus per-variable box bounds.  The LP solver is a
 bounded-variable primal simplex (Dantzig pricing with a Bland's-rule
 fallback after a fixed pivot budget, so every solve is deterministic);
 the projection solver is a primal active-set method on the same
-representation.  Problem sizes stay in the low thousands of variables,
-so dense linear algebra is adequate.
+representation, with one SVD per active set for both the step and the
+bound multipliers.  Problem sizes stay in the low thousands of
+variables, so dense linear algebra is adequate.
 
 Every optimal LP point is checked against its bounds after the final
 refactorization, and priced again there: a variable still eligible to
@@ -350,14 +351,6 @@ def lp_solve(objective, P: Polyhedron) -> LpSolution:
         return _Simplex(P, c, refactor_every=1).solve()
 
 
-def _null_space(E: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(E) for a dense E (possibly with 0 rows or columns)."""
-    _, s, vt = np.linalg.svd(E, full_matrices=True)
-    tol = max(E.shape) * np.finfo(float).eps * np.max(s, initial=0.0)
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T
-
-
 def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     """Euclidean projection of g onto P by a primal active-set method.
 
@@ -367,6 +360,9 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     returned; slice off the target block as needed.
 
     The walk starts from `z0`, which must lie in P (ValueError if not).
+    Each active set is factored once, E_free = U S V^T, for the step in
+    ker(E_free) and for the bound multipliers (the null-space method of
+    Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.5).
     Raises NumericalError when the active-set loop fails to converge.
     """
     g = _as_vector(g, "g")
@@ -393,12 +389,14 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     zero_steps = 0
 
     for it in range(max_iter):
-        working = at_lo | at_up
-        free_idx = np.flatnonzero(~working)
+        free_idx = np.flatnonzero(~(at_lo | at_up))
         rho = z[:t] - g
 
-        # Least-squares step in ker(E_free); numpy gives 0 on empty shapes.
-        N = _null_space(E[:, free_idx])
+        # Rows of V^T past the rank span ker(E_free); 0 on empty shapes.
+        E_free = E[:, free_idx]
+        u, s, vt = np.linalg.svd(E_free)
+        rank = int(np.sum(s > max(E_free.shape) * np.finfo(float).eps * np.max(s, initial=0.0)))
+        N = vt[rank:].T
         target = free_idx < t
         p_free = N @ np.linalg.lstsq(N[target], -rho[free_idx[target]], rcond=None)[0]
 
@@ -413,6 +411,12 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
             tau_min = float(np.min(tau, initial=np.inf))
             step = min(1.0, tau_min)
             z[free_idx] += step * p_free
+            zero_steps = zero_steps + 1 if step <= tol_step else 0
+            if zero_steps > n + 10:
+                raise NumericalError(
+                    "projection stalled on degenerate bounds",
+                    residual=float(np.max(np.abs(p_free))),
+                )
             if tau_min <= 1.0 + 1e-12:
                 blocked = tau <= tau_min * (1.0 + 1e-10) + 1e-15
                 hit_up = free_idx[blocked & (p_free > 0)]
@@ -421,19 +425,14 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
                 at_up[hit_up] = True
                 z[hit_lo] = lower[hit_lo]
                 at_lo[hit_lo] = True
-            zero_steps = zero_steps + 1 if step <= tol_step else 0
-            if zero_steps > n + 10:
-                raise NumericalError(
-                    "projection stalled on degenerate bounds",
-                    residual=float(np.max(np.abs(p_free))),
-                )
-            continue
+                continue
 
-        # Subproblem optimal: verify the bound multipliers.
+        # Subproblem optimal (a full step keeps the free set and its SVD):
+        # verify the bound multipliers, with nu = U_r S_r^-1 V_r^T grad_free
+        # the least-squares solution of E_free^T nu = grad_free.
         grad = np.zeros(n)
-        grad[:t] = rho
-        nu = np.linalg.lstsq(E[:, free_idx].T, grad[free_idx], rcond=None)[0] \
-            if free_idx.size else np.linalg.lstsq(E.T, grad, rcond=None)[0]
+        grad[:t] = z[:t] - g
+        nu = u[:, :rank] @ ((vt[:rank] @ grad[free_idx]) / s[:rank])
         r = grad - E.T @ nu
         viol = np.zeros(n)
         rem_lo = at_lo & ~fixed

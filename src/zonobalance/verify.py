@@ -151,12 +151,21 @@ def csv_header() -> str:
     return ",".join(CSV_COLUMNS)
 
 
+def _csv_cell(x) -> str:
+    """A cell as RFC 4180 writes it: quoted, with " doubled, only when it
+    holds a comma, a quote, CR or LF."""
+    s = _fmt(x)
+    if any(ch in s for ch in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def csv_row(kind: str, report: BalanceReport, opt: float | None = None) -> str:
     """One benchmark row in the fixed column order."""
     cells = [kind, report.d, report.m, report.n, report.seed, report.c0,
              report.discrepancy, report.bound, report.ratio, report.rounds,
              report.c_final, "" if opt is None else opt]
-    return ",".join(_fmt(c) for c in cells)
+    return ",".join(_csv_cell(c) for c in cells)
 
 
 def bound_report(report: BalanceReport, oracle: OracleResult | None = None) -> str:

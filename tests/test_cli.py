@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface (exit codes, formats)."""
 
+import csv
 import io
 import os
 import subprocess
@@ -87,6 +88,16 @@ class TestPipeline:
         header, row = out.strip().splitlines()
         assert header.startswith("kind,d,m,n,seed,c0,")
         assert row.split(",")[1:5] == ["4", "4", "4", "5"]
+
+    def test_csv_quotes_a_path_with_comma_and_quote(self, capsys, cube4, tmp_path):
+        path = tmp_path / 'a,b"c.txt'
+        path.write_text(Path(cube4).read_text())
+        code, out, _ = run_cli(capsys, "balance", str(path), "--seed", "5",
+                               "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out.strip()))
+        assert len(header) == len(row) == 12
+        assert row[0] == str(path)
 
     def test_balance_with_oracle_column(self, capsys, cube4):
         code, out, _ = run_cli(capsys, "balance", cube4, "--seed", "5",

@@ -145,7 +145,24 @@ class TestPartialColoring:
         monkeypatch.setattr(coloring, "project_polyhedron", failing)
         Z, V = spencer_instance(8, seed=0)
         # 25 scales (c0 and 24 doublings) of two draws each.
-        with pytest.raises(NumericalError, match=r"after 50 draws .*doubled 24 times"):
+        with pytest.raises(NumericalError, match=r"after 50 draws .*; 50 of 50 projections "
+                                                 r"failed; c0 = 2.0 doubled 24 times"):
+            partial_coloring(Z, V, np.zeros(8), retries=2, rng=np.random.default_rng(0))
+
+    def test_failed_projections_counted_among_rejected_draws(self, monkeypatch):
+        # Every other projection fails; the rest move over every scale.
+        project, draws = coloring.project_polyhedron, []
+
+        def failing_odd(g, P, *, z0):
+            draws.append(g)
+            if len(draws) % 2:
+                raise NumericalError("injected projection failure")
+            return project(g, P, z0=z0)
+
+        monkeypatch.setattr(coloring, "project_polyhedron", failing_odd)
+        monkeypatch.setattr(coloring, "zonotope_norm", lambda Z, x: math.inf)
+        Z, V = spencer_instance(8, seed=0)
+        with pytest.raises(NumericalError, match=r"after 50 draws .*; 25 of 50 projections failed"):
             partial_coloring(Z, V, np.zeros(8), retries=2, rng=np.random.default_rng(0))
 
 

@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import linprog, minimize
 
 from zonobalance import convex
-from zonobalance.coloring import _lift
+from zonobalance.cli import bench_specs
+from zonobalance.coloring import DEFAULT_C0, GAUSSIAN_SCALE, _lift, round_scale
 from zonobalance.convex import (
     Polyhedron,
     _Simplex,
@@ -13,9 +14,9 @@ from zonobalance.convex import (
     project_polyhedron,
 )
 from zonobalance.instancefile import generate_instance
-from zonobalance.zonotope import Zonotope, zonotope_norm
+from zonobalance.zonotope import Zonotope, preprocess, zonotope_norm
 
-from test_zonotope import highs_gauge
+from test_zonotope import highs_gauge, refuse_tiny_coefficients
 
 
 def box(lower, upper, E=None, e=None):
@@ -83,11 +84,24 @@ def crash_by_row_scan(P):
 
 
 def highs(c, P):
+    refuse_tiny_coefficients(c, P.E)
     bounds = [(l if np.isfinite(l) else None, u if np.isfinite(u) else None)
               for l, u in zip(P.lower, P.upper)]
     return linprog(c, A_eq=P.E if P.num_eq else None,
                    b_eq=P.e if P.num_eq else None,
                    bounds=bounds, method="highs")
+
+
+def spy_factorizations(monkeypatch):
+    """Record ("svd" | "lstsq", matrix) for every numpy SVD and
+    least-squares solve, in call order."""
+    calls = []
+    for name in ("svd", "lstsq"):
+        def spy(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.asarray(a)))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 def slsqp_projection(g, P, z0):
@@ -429,16 +443,49 @@ class TestProjection:
         P = Polyhedron(4, [[-0.6, 0.3, 0.0, -0.2], [-0.1, 1.0, 1.3, -0.2]], [0.0, 0.0],
                        [-1.0, -1.9, -0.3, -1.8], [1.1, 0.3, 1.0, 1.1])
         g = np.array([4.3, 3.2, 3.7, -1.5])
-        free_cols = []
-        null_space = convex._null_space
-
-        def spy(E):
-            free_cols.append(E.shape[1])
-            return null_space(E)
-
-        monkeypatch.setattr(convex, "_null_space", spy)
+        calls = spy_factorizations(monkeypatch)
         z = project_polyhedron(g, P, z0=np.zeros(4))
+        free_cols = [a.shape[1] for kind, a in calls if kind == "svd"]
         assert any(b > a for a, b in zip(free_cols, free_cols[1:])), free_cols
         assert P.contains(z)
         assert np.max(np.abs(z - slsqp_projection(g, P, np.zeros(4)))) <= 1e-6
 
+    def test_one_factorization_per_free_set(self, monkeypatch):
+        # Each iteration takes one SVD of a new free set and one step
+        # solve from it; a full step goes straight on to the multiplier
+        # check with the same SVD.  Cases: the first round's lift of the
+        # default grid's first two seeds at d = 8 and 16, with their first
+        # Gaussian draw, and random polyhedra.
+        cases = []
+        grid = bench_specs(["cube", "spencer-random", "random-zonotope"], [8, 16, 32, 64], 10, 0, 4)
+        for spec in (s for s in grid if s.d <= 16 and s.index % 10 < 2):
+            inst = generate_instance(spec.kind, spec.d, spec.m, spec.n,
+                                     np.random.default_rng(spec.instance_seed))
+            Z, V, _ = preprocess(inst.A, inst.V, inst.U)
+            k = V.n
+            P = _lift(Z, V.V, -np.ones(k), np.ones(k), round_scale(k, Z.d, DEFAULT_C0))
+            g = GAUSSIAN_SCALE * np.random.default_rng(spec.balance_seed).standard_normal(k)
+            cases.append((g, P, np.zeros(k + Z.m)))
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            P, z_feas = random_polyhedron(rng)
+            cases.append((2.0 * rng.standard_normal(int(rng.integers(1, P.num_vars + 1))),
+                          P, z_feas))
+        calls = spy_factorizations(monkeypatch)
+        for g, P, z0 in cases:
+            calls.clear()
+            project_polyhedron(g, P, z0=z0)
+            free_cols = [a.shape[1] for kind, a in calls if kind == "svd"]
+            assert all(a != b for a, b in zip(free_cols, free_cols[1:])), free_cols
+            assert [kind for kind, _ in calls] == ["svd", "lstsq"] * len(free_cols)
+
+    def test_multipliers_on_an_empty_free_set(self, monkeypatch):
+        # From 0 the step along (1, -1) hits both bounds at once, so the
+        # multiplier check runs with every variable at a bound.
+        P = Polyhedron(2, [[1.0, 1.0]], [0.0], [-1.0, -1.0], [1.0, 1.0])
+        g = np.array([5.0, -0.5])
+        calls = spy_factorizations(monkeypatch)
+        z = project_polyhedron(g, P, z0=np.zeros(2))
+        assert 0 in [a.shape[1] for kind, a in calls if kind == "svd"]
+        assert np.max(np.abs(z - [1.0, -1.0])) <= 1e-12
+        assert np.max(np.abs(z - slsqp_projection(g, P, np.zeros(2)))) <= 1e-6

@@ -17,7 +17,8 @@ from zonobalance.lewis import lewis_position
 from zonobalance.verify import _l1_ball_lp, polar_identity_check, width_estimate
 from zonobalance.zonotope import VectorFamily, Zonotope, zonotope_norm
 
-from test_convex import random_polyhedron, sparse_polyhedron
+from test_convex import highs, random_polyhedron, sparse_polyhedron
+from test_zonotope import highs_gauge
 
 
 class PlainLoop(_Simplex):
@@ -245,6 +246,14 @@ class TestSmallPivotGuard:
         # drops the 1e-10 coefficient and reports -3.)
         assert sol.objective == ref.objective == pytest.approx(-2.0, abs=1e-9)
         assert self.P.contains(sol.point)
+
+    def test_highs_references_refuse_it(self):
+        # HiGHS would drop the 1e-10 coefficient and answer -3, so the
+        # reference helpers refuse the LP instead of judging by it.
+        with pytest.raises(ValueError, match="below 1e-9"):
+            highs(self.c, self.P)
+        with pytest.raises(ValueError, match="below 1e-9"):
+            highs_gauge(np.array([[1.0, 1e-10], [0.0, 1.0]]), [1.0, 1.0])
 
     def test_fresh_tableau_takes_the_small_pivot(self):
         # Refactorizing at every pivot leaves no updated tableau to doubt.

@@ -111,10 +111,21 @@ class TestNorm:
                 zonotope_norm(Zonotope(A), [bad, 0.0])
 
 
+def refuse_tiny_coefficients(*arrays):
+    """Raise ValueError if an LP coefficient is nonzero but below 1e-9 in
+    magnitude: HiGHS drops such matrix entries and may then answer a
+    different LP."""
+    for a in arrays:
+        a = np.abs(np.asarray(a, dtype=float))
+        if np.any((a > 0.0) & (a < 1e-9)):
+            raise ValueError("LP has a nonzero coefficient below 1e-9, which HiGHS drops")
+
+
 def highs_gauge(A, x):
     """min t s.t. A^T u = x, -t <= u_j <= t, solved by scipy's HiGHS."""
     from scipy.optimize import linprog
 
+    refuse_tiny_coefficients(A)
     m, d = A.shape
     c = np.zeros(m + 1)
     c[m] = 1.0
