@@ -48,6 +48,17 @@ def _write(text: str, out: str | None):
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _add_instance_arg(p: argparse.ArgumentParser):
     p.add_argument("instance", nargs="?", default="-",
                    help="instance file path, or - for stdin (default)")
@@ -63,12 +74,12 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("balance", help="compute balancing signs")
     _add_instance_arg(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--c0", type=float, default=coloring.DEFAULT_C0)
     p.add_argument("--retries", type=int, default=coloring.DEFAULT_RETRIES)
     p.add_argument("--rescale", action="store_true",
@@ -97,13 +108,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="polar-identity cross-check")
     _add_instance_arg(p)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("width", help="Monte-Carlo width of the normalized polar body")
     _add_instance_arg(p)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bench", help="sweep a grid of instances, one CSV row per run")

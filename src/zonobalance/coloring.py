@@ -228,6 +228,8 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
         raise InputError(f"c0 must be positive and finite, got {c0!r}")
     if retries < 1:
         raise InputError(f"retries must be at least 1, got {retries}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     y = np.zeros(n)
     active = np.arange(n)

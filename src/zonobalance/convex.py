@@ -3,8 +3,9 @@ Euclidean projection onto polyhedra.
 
 A polyhedron is stored in the lifted form used throughout the package:
 equality constraints plus per-variable box bounds.  The LP solver is a
-bounded-variable primal simplex (Dantzig pricing with a Bland's-rule
-fallback after a fixed pivot budget, so every solve is deterministic);
+bounded-variable primal simplex (Dantzig pricing that takes eligible free
+columns first, with a Bland's-rule fallback after a fixed pivot budget,
+so every solve is deterministic);
 the projection solver is a primal active-set method on the same
 representation, with one SVD per active set for both the step and the
 bound multipliers.  Problem sizes stay in the low thousands of
@@ -24,7 +25,7 @@ that fails too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,6 +102,7 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     point: np.ndarray | None
     objective: float
+    pivots: int  # every pivot of the call, a re-solve's included
 
     @property
     def is_optimal(self) -> bool:
@@ -112,8 +114,13 @@ class _Simplex:
 
     Nonbasic variables rest at a finite bound (or at zero when free in
     both directions); free variables never leave the basis once they
-    enter.  Phase 1 minimizes the total artificial infeasibility,
-    phase 2 the caller's objective.
+    enter.  Pricing is Dantzig's rule, the largest reduced cost, taken
+    among the eligible free columns while any is eligible (free
+    variables enter the basis first, Maros, Computational Techniques of
+    the Simplex Method, 2003), then among all eligible columns; after
+    `dantzig_limit` pivots in a phase, Bland's rule takes the lowest
+    eligible index.  Phase 1 minimizes the total artificial
+    infeasibility, phase 2 the caller's objective.
     """
 
     REFACTOR_EVERY = 128
@@ -197,6 +204,10 @@ class _Simplex:
         # or free) and downward (from their upper bound or free).
         can_up = nonbasic & movable & ((status == _AT_LOWER) | (status == _FREE))
         can_dn = nonbasic & movable & ((status == _AT_UPPER) | (status == _FREE))
+        # Free nonbasic columns, which Dantzig pricing takes first: once
+        # basic they never leave, since no bound of theirs blocks.
+        free = status == _FREE
+        free_left = bool(free.any())
         lb, ub = lower[basis], upper[basis]
         t_block = np.empty(basis.size)
         n = self.n_orig
@@ -215,9 +226,12 @@ class _Simplex:
             dn_ok = d > tol_d
             dn_ok &= can_dn
             eligible = up_ok | dn_ok
-            # An eligible variable scores |d| > tol_d > 0, any other -1.
+            # A column in the pool scores |d| > tol_d > 0, any other -1.
             if phase_pivots < self.dantzig_limit:
-                score = np.where(eligible, np.abs(d), -1.0)
+                pool = eligible
+                if free_left and (first := eligible & free).any():
+                    pool = first
+                score = np.where(pool, np.abs(d), -1.0)
                 j = int(score.argmax())
                 if score[j] < 0.0:
                     return "optimal"
@@ -284,6 +298,9 @@ class _Simplex:
                 ub[p] = upper[j]
                 status[j] = _BASIC
                 can_up[j] = can_dn[j] = False
+                if free_left and free[j]:
+                    free[j] = False
+                    free_left = bool(free.any())
                 self.since_refactor += 1
                 if self.since_refactor >= self.refactor_every:
                     self._refactor()
@@ -302,7 +319,7 @@ class _Simplex:
             raise NumericalError("phase 1 reported unbounded")
         infeas = float(self.x[n:].sum())
         if infeas > self.feas_tol * 10:
-            return LpSolution("infeasible", None, math.nan)
+            return LpSolution("infeasible", None, math.nan, self.pivots)
         # Pin all artificials at zero for phase 2.
         self.upper[n:] = 0.0
         np.clip(self.x[n:], 0.0, None, out=self.x[n:])
@@ -313,7 +330,7 @@ class _Simplex:
         checked = -1
         while True:
             if self._run_phase(c2) == "unbounded":
-                return LpSolution("unbounded", None, math.nan)
+                return LpSolution("unbounded", None, math.nan, self.pivots)
             if self.pivots == checked:
                 break
             self._refactor()
@@ -325,7 +342,7 @@ class _Simplex:
                 raise _BoundBreach("solution breaks a variable bound", residual=breach)
             checked = self.pivots
         point = self.x[:n].copy()
-        return LpSolution("optimal", point, float(self.c_orig @ point))
+        return LpSolution("optimal", point, float(self.c_orig @ point), self.pivots)
 
 
 class _BoundBreach(NumericalError):
@@ -337,18 +354,20 @@ def lp_solve(objective, P: Polyhedron) -> LpSolution:
 
     To maximize, pass the negated objective and negate the optimum.
     Infeasible and unbounded problems are reported through the status
-    field.  The pivot order is fixed, so identical inputs produce
-    identical outputs.
+    field, and `pivots` counts every pivot the call took.  The pivot
+    order is fixed, so identical inputs produce identical outputs.
     """
     c = _as_vector(objective, "objective")
     if c.shape[0] != P.num_vars:
         raise ValueError("objective length does not match num_vars")
+    first = _Simplex(P, c)
     try:
-        return _Simplex(P, c).solve()
+        return first.solve()
     except _BoundBreach:
         # Drifted rank-1 updates can pivot onto a near-singular basis; a
         # fresh factorization at every pivot keeps the ratio tests accurate.
-        return _Simplex(P, c, refactor_every=1).solve()
+        sol = _Simplex(P, c, refactor_every=1).solve()
+        return replace(sol, pivots=first.pivots + sol.pivots)
 
 
 def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:

@@ -88,15 +88,20 @@ def polar_identity_check(Z: Zonotope, V: VectorFamily, S, trials: int,
     l1 ball cut by the column span of A, ||Q z||_1 <= 1, computed by an
     independent LP over that section.
 
-    With S None each trial draws its own index set: a size uniform in
-    1..n, then that many distinct indices, then y.
+    An explicit S holds indices in 0..n-1 (InputError otherwise).  With
+    S None each trial draws its own index set: a size uniform in 1..n,
+    then that many distinct indices, then y.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
     if S is not None:
-        S = sorted(int(i) for i in S)
+        S = [int(i) for i in S]
         if not S:
             raise InputError("index set must be nonempty")
+        outside = [i for i in S if not 0 <= i < V.n]
+        if outside:
+            raise InputError(f"index {outside[0]} is outside 0..{V.n - 1}")
+        S = sorted(S)
     span_basis, R = np.linalg.qr(Z.A)
     P = _l1_ball_lp(span_basis)
     max_gap = 0.0

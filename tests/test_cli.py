@@ -358,6 +358,21 @@ class TestInstalledEntryPoint:
     def test_unknown_subcommand_exits_one(self):
         assert run_python("-m", "zonobalance", "frobnicate").returncode == 1
 
+    @pytest.mark.parametrize("command", [
+        ("gen", "--kind", "cube", "--d", "4", "--n", "4"),
+        ("balance",),
+        ("check",),
+        ("width",),
+    ])
+    def test_negative_seed_exits_one(self, cube4, command):
+        args = command if command[0] == "gen" else (*command, cube4)
+        res = run_python("-m", "zonobalance", *args, "--seed", "-1")
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        errors = [line for line in res.stderr.splitlines() if "error:" in line]
+        assert errors == [f"zonobalance {command[0]}: error: argument --seed: "
+                          "seed must be non-negative, got -1"]
+
     def test_balance_and_invariant_check_under_optimize(self, cube4):
         # python -O strips asserts; the round invariant must still fire.
         bal = run_python("-O", "-m", "zonobalance", "balance", cube4, "--seed", "7")

@@ -293,6 +293,11 @@ class TestBalance:
         with pytest.raises(InputError):
             balance(Z, V)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators would raise a bare ValueError.
+        with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+            balance(Zonotope(np.eye(2)), VectorFamily(0.1 * np.eye(2)), seed=-1)
+
     def test_partial_coloring_rejects_more_active_vectors_than_d(self):
         # Past d active vectors the round scale is 0 (k = 2d) or undefined.
         Z = Zonotope(np.eye(4))

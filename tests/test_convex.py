@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
 
-from zonobalance import convex
+from zonobalance import convex, zonotope
 from zonobalance.cli import bench_specs
 from zonobalance.coloring import DEFAULT_C0, GAUSSIAN_SCALE, _lift, round_scale
 from zonobalance.convex import (
@@ -14,6 +14,7 @@ from zonobalance.convex import (
     project_polyhedron,
 )
 from zonobalance.instancefile import generate_instance
+from zonobalance.verify import _l1_ball_lp
 from zonobalance.zonotope import Zonotope, preprocess, zonotope_norm
 
 from test_zonotope import highs_gauge, refuse_tiny_coefficients
@@ -257,11 +258,6 @@ class TestLpSolve:
                 if self.bland:
                     self.dantzig_limit = 0
 
-            def solve(self):
-                sol = super().solve()
-                pivots[self.bland].append(self.pivots)
-                return sol
-
         monkeypatch.setattr(convex, "_Simplex", Counted)
         rng = np.random.default_rng(17)
         for _ in range(150):
@@ -271,6 +267,7 @@ class TestLpSolve:
             for bland in (False, True):
                 Counted.bland = bland
                 mine = lp_solve(c, P)
+                pivots[bland].append(mine.pivots)
                 if ref.status == 0:
                     assert mine.status == "optimal"
                     assert mine.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
@@ -279,18 +276,44 @@ class TestLpSolve:
                     assert mine.status == {2: "infeasible", 3: "unbounded"}[ref.status]
         assert pivots[True] != pivots[False]
 
+    def test_l1_sections_with_ties_against_reference_solver(self):
+        # l1-ball sections of tall matrices whose rows repeat, as they are
+        # and negated: every LP has free columns, many optimal bases and
+        # ties in the ratio test, the more so with rows in {-1, 0, 1} and
+        # objectives along a row.
+        rng = np.random.default_rng(37)
+        for trial in range(40):
+            r = int(rng.integers(2, 7))
+            if trial % 2:
+                base = rng.standard_normal((r + 2, r))
+            else:
+                base = rng.integers(-1, 2, (r + 2, r)).astype(float)
+            R = np.vstack([base, base, -base[::2], 2.0 * base[1::3]])
+            R = R[rng.permutation(R.shape[0])]
+            P = _l1_ball_lp(R)
+            g = base[0] if trial % 4 < 2 else rng.standard_normal(r)
+            c = np.concatenate([g, np.zeros(P.num_vars - r)])
+            mine = lp_solve(c, P)
+            ref = highs(c, P)
+            assert ref.status == 0
+            assert mine.status == "optimal"
+            assert mine.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+            assert P.contains(mine.point)
+
     def test_drifted_tableau_resolves(self, monkeypatch):
         # A perturbed tableau at pivot 20 of the first attempt makes many
         # d = 16, m = 64 gauge LPs end on a basis that breaks a bound, which
         # the refactor-every-pivot re-solve repairs.  The others end on a
         # feasible but suboptimal basis, which pricing on the final
         # factorization must catch and pivot on from.  Either way the
-        # gauge must be HiGHS's.
-        periods = []
+        # gauge must be HiGHS's, and the solution's pivots count both
+        # attempts.
+        periods, sims, solutions = [], [], []
 
         class Drift(convex._Simplex):
             def __init__(self, P, c, refactor_every=convex._Simplex.REFACTOR_EVERY):
                 periods.append(refactor_every)
+                sims.append(self)
                 super().__init__(P, c, refactor_every)
 
             def _reduced_costs(self, c):
@@ -298,16 +321,23 @@ class TestLpSolve:
                     self.W += 1e-2 * np.random.default_rng(0).standard_normal(self.W.shape)
                 return super()._reduced_costs(c)
 
+        def recorded_lp_solve(objective, P):
+            solutions.append(lp_solve(objective, P))
+            return solutions[-1]
+
         monkeypatch.setattr(convex, "_Simplex", Drift)
+        monkeypatch.setattr(zonotope, "lp_solve", recorded_lp_solve)
         rng = np.random.default_rng(7)
         resolved = 0
         for _ in range(40):
             Z = Zonotope(generate_instance("random-zonotope", 16, 64, 1, rng).A)
             x = rng.standard_normal(16)
             periods.clear()
+            sims.clear()
             value = zonotope_norm(Z, x)
             assert periods[0] == convex._Simplex.REFACTOR_EVERY
             resolved += periods[1:] == [1]
+            assert solutions[-1].pivots == sum(sim.pivots for sim in sims)
             assert value == pytest.approx(highs_gauge(Z.A, x), abs=1e-7)
         assert resolved >= 5, resolved
 

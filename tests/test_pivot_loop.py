@@ -1,16 +1,17 @@
 """The simplex pivot loop against a plain reference loop.
 
-`_Simplex._run_phase` keeps its entry masks and basic bounds up to date
-in place instead of rebuilding them on every pivot.  `PlainLoop` below
-is that loop written out directly, one full recomputation per pivot; on
-every LP both must take the same pivots and return the same bits.
+`_Simplex._run_phase` keeps its entry masks (free columns included) and
+basic bounds up to date in place instead of rebuilding them on every
+pivot.  `PlainLoop` below is that loop written out directly, one full
+recomputation per pivot; on every LP both must take the same pivots and
+return the same bits.
 """
 
 import numpy as np
 import pytest
 
 from zonobalance import convex
-from zonobalance.convex import TOL_FEAS, Polyhedron, _Simplex
+from zonobalance.convex import TOL_FEAS, Polyhedron, _Simplex, lp_solve
 from zonobalance.errors import NumericalError
 from zonobalance.instancefile import generate_instance
 from zonobalance.lewis import lewis_position
@@ -23,7 +24,8 @@ from test_zonotope import highs_gauge
 
 class PlainLoop(_Simplex):
     """The pivot loop with every mask, bound gather and ratio recomputed
-    on each pivot, and no small-pivot guard."""
+    on each pivot, and no small-pivot guard.  Dantzig pricing takes the
+    eligible free columns first, while any is eligible."""
 
     def _run_phase(self, c, stop_at_feasible=False):
         tol_d = TOL_FEAS * (1.0 + np.max(np.abs(c), initial=0.0))
@@ -48,7 +50,9 @@ class PlainLoop(_Simplex):
             if not np.any(eligible):
                 return "optimal"
             if phase_pivots < self.dantzig_limit:
-                score = np.where(eligible, np.abs(d), -1.0)
+                free_ok = eligible & (self.status == convex._FREE)
+                pool = free_ok if np.any(free_ok) else eligible
+                score = np.where(pool, np.abs(d), -1.0)
                 j = int(np.argmax(score))
             else:
                 j = int(np.argmax(eligible))
@@ -211,6 +215,19 @@ class TestSameAsPlainLoop:
         lps = [(infeasible, np.array([1.0, 1.0])), (unbounded, np.array([-1.0, 0.0, 1.0]))]
         assert assert_same(lps) == ["infeasible", "unbounded"]
         assert assert_same(lps, dantzig_limit=0) == ["infeasible", "unbounded"]
+
+
+class TestPivotCounts:
+    # Pinned through LpSolution.pivots.  The width LPs have d free columns
+    # each, which the pricing takes first (5,144 pivots when they waited
+    # for the largest reduced cost); the gauge LPs have none.
+    def test_width_lps(self):
+        assert sum(lp_solve(c, P).pivots for P, c in width_lps()) == 3876
+
+    def test_gauge_lps(self):
+        lps = gauge_lps()
+        assert not any(np.any(P.lower == -np.inf) for P, _ in lps)
+        assert sum(lp_solve(c, P).pivots for P, c in lps) == 1338
 
 
 class TestSmallPivotGuard:

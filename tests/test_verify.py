@@ -132,13 +132,19 @@ class TestPolarIdentity:
             worst = max(worst, polar_identity_check(Z, V, S, 1, rng))
         assert polar_identity_check(Z, V, None, 12, np.random.default_rng(5)) == worst
 
+    @pytest.mark.parametrize("S, bad", [([0, -1], -1), ([3, 4, 1], 4), ([7, 5], 7)])
+    def test_index_outside_family_rejected(self, S, bad):
+        # -1 would check the last vector and n would raise IndexError.
+        Z, V = random_zonotope_instance(3, 6, 4, seed=2)
+        with pytest.raises(InputError, match=f"index {bad} is outside 0..3"):
+            polar_identity_check(Z, V, S, 1, np.random.default_rng(0))
+
     def test_drifted_section_lp_recovers(self, monkeypatch):
-        # On this instance the rank-1 tableau updates of one section LP
-        # drift onto a near-singular basis: without a guard the solver
-        # returned a point breaking a bound by 6.7e-3 with value 1.31448
-        # for a gauge of 1.30029, and a refactor-every-pivot re-solve had
-        # to repair it.  The small-pivot guard now refactorizes at pivot
-        # 155, before the pivot that led there, so no re-solve runs.  HiGHS
+        # Under plain Dantzig pricing the rank-1 tableau updates of one
+        # section LP of this instance drifted onto a near-singular basis
+        # (a point breaking a bound by 6.7e-3, value 1.31448 for a gauge of
+        # 1.30029).  With free columns entering first its pivots avoid that
+        # basis: neither the small-pivot guard nor a re-solve runs.  HiGHS
         # recomputes each gauge independently.
         refactor_periods, guarded = [], []
 
@@ -170,7 +176,7 @@ class TestPolarIdentity:
         gap = polar_identity_check(Z, V, range(16), 4,
                                    np.random.default_rng(run_seed(rs, 1)))
         assert gap <= 1e-6
-        assert guarded == [155]
+        assert guarded == []
         assert 1 not in refactor_periods
         rng = np.random.default_rng(run_seed(rs, 1))  # the check's y stream
         for _ in range(4):
