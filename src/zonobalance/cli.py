@@ -297,7 +297,13 @@ def _cmd_bench(args) -> int:
         f"m_factor={args.m_factor} oracle_upto={args.oracle_upto}",
         verify.csv_header(),
     ]
-    for spec in bench_specs(kinds, d_list, args.seeds, args.master_seed, args.m_factor):
+    specs = bench_specs(kinds, d_list, args.seeds, args.master_seed, args.m_factor)
+    # Refuse before the first run, not after balancing the specs before it.
+    over = [spec.n for spec in specs if verify.ORACLE_CAP < spec.n <= args.oracle_upto]
+    if over:
+        raise InputError(f"--oracle-upto {args.oracle_upto} asks for the oracle at n = {over[0]}, "
+                         f"above its cap of {verify.ORACLE_CAP}")
+    for spec in specs:
         lines.append(execute_spec(spec, args.c0, args.retries, args.oracle_upto)[0])
     _write("\n".join(lines), args.out)
     return 0

@@ -5,7 +5,9 @@ A polyhedron is stored in the lifted form used throughout the package:
 equality constraints plus per-variable box bounds.  The LP solver is a
 bounded-variable primal simplex (Dantzig pricing that takes eligible free
 columns first, with a Bland's-rule fallback after a fixed pivot budget,
-so every solve is deterministic);
+so every solve is deterministic).  It starts from a lower-triangular
+crash basis, and a row gets an artificial column only when the crash
+leaves it open;
 the projection solver is a primal active-set method on the same
 representation, with one SVD per active set for both the step and the
 bound multipliers.  Problem sizes stay in the low thousands of
@@ -121,6 +123,16 @@ class _Simplex:
     `dantzig_limit` pivots in a phase, Bland's rule takes the lowest
     eligible index.  Phase 1 minimizes the total artificial
     infeasibility, phase 2 the caller's objective.
+
+    The start is a lower-triangular crash (Bixby, "Implementing the
+    simplex method: the initial basis", ORSA J. Computing 1992).  Each
+    wave gives an open row its lowest-index column whose other nonzeros
+    lie in rows already crashed: a singleton that moves to absorb the
+    row's residual within its bounds, or any such column, left at its
+    bound, when the residual is zero.  Only the rows left open get an
+    artificial column, so the tableau is n plus that many columns wide.
+    On the l1-ball LPs of `verify` every row is crashed and phase 1 takes
+    no pivot; on the gauge LPs of the bench grid no row is.
     """
 
     REFACTOR_EVERY = 128
@@ -129,14 +141,8 @@ class _Simplex:
         meq, n = P.num_eq, P.num_vars
         self.n_orig = n
         self.c_orig = c
-        self.lower = np.concatenate([P.lower, np.zeros(meq)])
-        self.upper = np.concatenate([P.upper, np.full(meq, np.inf)])
         self.e = P.e.astype(float, copy=True)
-        self.ntot = n + meq
         self.refactor_every = refactor_every
-        # Dantzig pricing for this many pivots per phase, then Bland's rule.
-        self.dantzig_limit = 20 * self.ntot + 200
-        self.max_iter = 200 * self.ntot + 5000
         self.scale_e = 1.0 + np.max(np.abs(self.e), initial=0.0)
         self.feas_tol = TOL_FEAS * self.scale_e
 
@@ -147,28 +153,45 @@ class _Simplex:
                           np.where(np.isfinite(P.upper), _AT_UPPER, _FREE))
         resid = self.e - P.E @ x
 
-        # Crash singleton columns into the basis: a column with a single
-        # nonzero row can absorb that row's residual without touching any
-        # other row, which skips one artificial pivot per such row.  Each
-        # row takes its lowest-index singleton whose value fits its bounds;
-        # the refactorization below computes the basic values.
-        singles = np.flatnonzero(np.count_nonzero(P.E, axis=0) == 1)
-        rows, k = np.nonzero(P.E[:, singles])  # row-major: columns ascend per row
-        cols = singles[k]
-        val = x[cols] + resid[rows] / P.E[rows, cols]
-        fits = (P.lower[cols] - 1e-12 <= val) & (val <= P.upper[cols] + 1e-12)
-        crashed, first = np.unique(rows[fits], return_index=True)
-        resid[crashed] = 0.0
+        # The crash, one wave per pass (see the class docstring).  A column
+        # with one nonzero among the open rows touches no open row but
+        # that one, so the crashed part of B stays triangular.  Only
+        # singletons move, so every crashed row holds, and the
+        # refactorization below computes the basic values.
+        nz = P.E != 0.0
+        single = np.count_nonzero(nz, axis=0) == 1
+        crashed = np.zeros(meq, dtype=bool)
+        basis = np.empty(meq, dtype=int)
+        while True:
+            open_nz = nz & ~crashed[:, None]
+            cand = np.flatnonzero(np.count_nonzero(open_nz, axis=0) == 1)
+            rows, k = np.nonzero(open_nz[:, cand])  # row-major: columns ascend per row
+            cols = cand[k]
+            val = x[cols] + resid[rows] / P.E[rows, cols]
+            ok = (resid[rows] == 0.0) | (single[cols] & (P.lower[cols] - 1e-12 <= val)
+                                         & (val <= P.upper[cols] + 1e-12))
+            new, first = np.unique(rows[ok], return_index=True)
+            if not new.size:
+                break
+            crashed[new] = True
+            basis[new] = cols[ok][first]
 
-        # Every other row starts on its artificial; those of crashed rows
-        # stay pinned at zero.
-        self.E_full = np.hstack([P.E, np.diag(np.where(resid >= 0.0, 1.0, -1.0))])
-        self.basis = n + np.arange(meq)
-        self.basis[crashed] = cols[fits][first]
-        self.upper[n + crashed] = 0.0
-        self.x = np.concatenate([x, np.abs(resid)])
-        self.status = np.concatenate([status, np.full(meq, _AT_LOWER, dtype=int)])
-        self.status[self.basis] = _BASIC
+        # Every other row starts on an artificial column of its own.
+        art = np.flatnonzero(~crashed)
+        self.ntot = n + art.size
+        # Dantzig pricing for this many pivots per phase, then Bland's rule.
+        self.dantzig_limit = 20 * self.ntot + 200
+        self.max_iter = 200 * self.ntot + 5000
+        signs = np.zeros((meq, art.size))
+        signs[art, np.arange(art.size)] = np.where(resid[art] >= 0.0, 1.0, -1.0)
+        self.E_full = np.hstack([P.E, signs])
+        self.lower = np.concatenate([P.lower, np.zeros(art.size)])
+        self.upper = np.concatenate([P.upper, np.full(art.size, np.inf)])
+        basis[art] = n + np.arange(art.size)
+        self.basis = basis
+        self.x = np.concatenate([x, np.abs(resid[art])])
+        self.status = np.concatenate([status, np.full(art.size, _AT_LOWER, dtype=int)])
+        self.status[basis] = _BASIC
         self.pivots = 0
         self.since_refactor = 0
         self._refactor()

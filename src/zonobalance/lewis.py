@@ -65,9 +65,14 @@ def lewis_position(Z: Zonotope | np.ndarray) -> LewisPosition:
     residual below TOL_LEWIS; the step at the converged weights gives
     the position, and NumericalError carries the last relative change
     otherwise.  A rank-deficient A, or fewer rows than columns, raises
-    NumericalError.
+    NumericalError; an array that is not 2-D, has no rows or columns, or
+    holds NaN or infinity raises InputError.
     """
     A = Z.A if isinstance(Z, Zonotope) else np.asarray(Z, dtype=float)
+    if A.ndim != 2 or A.size == 0:
+        raise InputError(f"generator matrix must be 2-D with rows and columns, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InputError("generator matrix contains NaN or infinity")
     m, d = A.shape
     w = np.full(m, d / m)
     X, c = _lewis_step(A, w)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import zonobalance
+from zonobalance import coloring
 from zonobalance.cli import main
 from zonobalance.instancefile import InstanceFile, generate_instance, serialize_instance
 from zonobalance.seeding import run_seed, splitmix64
@@ -322,6 +323,26 @@ class TestBench:
         assert pinned.returncode == 0, pinned.stderr
         assert default.returncode == 0, default.stderr
         assert pinned.stdout == default.stdout
+
+    @pytest.mark.parametrize("d_list", ["8,32", "32,8"])
+    def test_oracle_above_its_cap_balances_nothing(self, capsys, monkeypatch, d_list):
+        # n = 32 is above the oracle's cap of 22, so the sweep is refused
+        # before the n = 8 spec is balanced, whatever the order.
+        balanced = []
+        monkeypatch.setattr(coloring, "balance", lambda *a, **k: balanced.append(a))
+        code, out, err = run_cli(capsys, "bench", "--kinds", "spencer-random",
+                                 "--d-list", d_list, "--seeds", "1", "--oracle-upto", "40")
+        assert code == 1
+        assert out == ""
+        assert "n = 32" in err and "cap of 22" in err
+        assert balanced == []
+
+    def test_oracle_upto_above_the_cap_with_small_n(self, capsys):
+        # Every n is within the cap, so a large --oracle-upto is valid.
+        code, out, _ = run_cli(capsys, "bench", "--kinds", "spencer-random",
+                               "--d-list", "8,16", "--seeds", "1", "--oracle-upto", "40")
+        assert code == 0
+        assert all(row.split(",")[-1] != "" for row in out.strip().splitlines()[2:])
 
     def test_oracle_column_filled(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--kinds", "cube",

@@ -64,24 +64,63 @@ def sparse_polyhedron(rng):
     return Polyhedron(n, E, e, lower, upper)
 
 
+def triangular_polyhedron(rng):
+    """A sparse polyhedron with rows of zero residual at the crash's start
+    point: columns with one to three nonzeros, dyadic entries and integer
+    bounds, so E z and E x0 are exact, and a right-hand side E z for an
+    integer z that leaves most columns at their start x0.  A fifth of the
+    draws take a random right-hand side, so some are infeasible, and some
+    columns are free or unbounded above, so some are unbounded."""
+    meq = int(rng.integers(1, 7))
+    n = int(rng.integers(meq, 3 * meq + 3))
+    E = np.zeros((meq, n))
+    for j in range(n):
+        rows = rng.choice(meq, size=min(meq, int(rng.integers(1, 4))), replace=False)
+        E[rows, j] = rng.choice([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0], rows.size)
+    free = rng.random(n) < 0.15
+    lower = np.where(free, -np.inf, rng.integers(-2, 1, n).astype(float))
+    upper = np.where(rng.random(n) < 0.3, np.inf, lower + rng.integers(0, 4, n))
+    upper[free] = np.where(rng.random(free.sum()) < 0.5, np.inf, rng.integers(0, 3, free.sum()))
+    x0 = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
+    step = np.where(rng.random(n) < 0.3, rng.integers(0, 3, n), 0)
+    z = np.where(np.isfinite(upper), np.minimum(x0 + step, upper), x0 + step)
+    e = E @ z if rng.random() < 0.8 else rng.integers(-4, 5, meq).astype(float)
+    return Polyhedron(n, E, e, lower, upper)
+
+
 def crash_by_row_scan(P):
-    """Reference crash: scan each row's columns in order and take the first
-    singleton column whose value fits its bounds.  Returns (basis, upper)
-    of the slack-augmented problem."""
+    """Reference crash, in waves: each open row scans its columns in order
+    and takes the first whose other nonzeros lie in rows crashed in an
+    earlier wave, if its row's residual is zero or it is a singleton whose
+    value fits its bounds.  Returns the basis, with the artificials of the
+    open rows numbered from n in row order."""
     n, meq = P.num_vars, P.num_eq
     x = np.where(np.isfinite(P.lower), P.lower, np.where(np.isfinite(P.upper), P.upper, 0.0))
     resid = P.e - P.E @ x
     col_nnz = np.count_nonzero(P.E, axis=0)
-    basis = list(range(n, n + meq))
-    upper = np.concatenate([P.upper, np.full(meq, np.inf)])
-    for r in range(meq):
-        for j in np.flatnonzero(P.E[r] != 0.0):
-            val = x[j] + resid[r] / P.E[r, j]
-            if col_nnz[j] == 1 and P.lower[j] - 1e-12 <= val <= P.upper[j] + 1e-12:
-                basis[r] = int(j)
-                upper[n + r] = 0.0
-                break
-    return np.array(basis, dtype=int), upper
+    basis = [None] * meq
+    while True:
+        done = {r for r in range(meq) if basis[r] is not None}
+        wave = {}
+        for r in range(meq):
+            if r in done:
+                continue
+            for j in np.flatnonzero(P.E[r] != 0.0):
+                if not set(np.flatnonzero(P.E[:, j])) - {r} <= done:
+                    continue
+                val = x[j] + resid[r] / P.E[r, j]
+                fits = P.lower[j] - 1e-12 <= val <= P.upper[j] + 1e-12
+                if resid[r] == 0.0 or (col_nnz[j] == 1 and fits):
+                    wave[r] = int(j)
+                    break
+        if not wave:
+            break
+        for r, j in wave.items():
+            basis[r] = j
+    art = [r for r in range(meq) if basis[r] is None]
+    for k, r in enumerate(art):
+        basis[r] = n + k
+    return np.array(basis, dtype=int)
 
 
 def highs(c, P):
@@ -343,9 +382,9 @@ class TestLpSolve:
 
     def test_crash_basis_hand_built(self):
         # Row 0: singleton 0 would need 5 > 1, singleton 1 fits at 10.
-        # Row 1: both columns also appear in row 2, so no singleton.
+        # Row 1: both columns also appear in row 2, and its residual is 1.
         # Row 2: singleton 4 fits at 2.  Row 3: singletons 5 and 6 would
-        # both go negative.
+        # both go negative.  So rows 1 and 3 keep artificials 7 and 8.
         E = np.array([[2.0, 1, 0, 0, 0, 0, 0],
                       [0, 0, 1, 1, 0, 0, 0],
                       [0, 0, 1, -1, -1, 0, 0],
@@ -353,9 +392,10 @@ class TestLpSolve:
         P = Polyhedron(7, E, np.array([10.0, 1.0, -2.0, -1.0]), np.zeros(7),
                        np.array([1.0, 10.0, np.inf, np.inf, np.inf, 1.0, 1.0]))
         sim = _Simplex(P, np.zeros(7))
-        assert sim.basis.tolist() == [1, 8, 4, 10]
-        assert sim.upper[7:].tolist() == [0.0, np.inf, 0.0, np.inf]
-        assert sim.x[[1, 4]].tolist() == [10.0, 2.0]
+        assert sim.basis.tolist() == [1, 7, 4, 8]
+        assert sim.E_full.shape == (4, 9)
+        assert sim.upper[7:].tolist() == [np.inf, np.inf]
+        assert sim.x[[1, 4, 7, 8]].tolist() == [10.0, 2.0, 1.0, 1.0]
         assert lp_solve(np.zeros(7), P).status == "infeasible"
         empty = Polyhedron(3, np.zeros((0, 3)), np.zeros(0), -np.ones(3), np.ones(3))
         sim = _Simplex(empty, np.ones(3))
@@ -363,14 +403,92 @@ class TestLpSolve:
         assert sim.upper.tolist() == [1.0, 1.0, 1.0]
         assert lp_solve(np.ones(3), empty).point.tolist() == [-1.0, -1.0, -1.0]
 
+    # Column 0 touches rows 1 and 2, column 2 rows 0 and 1, column 3 rows
+    # 0 and 2; columns 1 (row 0) and 4 (row 2, at most 1) are singletons.
+    TRIANGLE = np.array([[0.0, 2, 1, 1, 0],
+                         [1, 0, -1, 0, 0],
+                         [1, 0, 0, 1, 1]])
+    TRIANGLE_UPPER = np.array([np.inf, 10.0, np.inf, np.inf, 1.0])
+
+    def test_crash_takes_a_zero_residual_row_after_a_singleton_wave(self):
+        # Singleton 1 absorbs row 0's residual at 2.  Then column 2 has no
+        # nonzero left outside row 0, so it takes row 1, whose residual is
+        # zero, and stays at 0.  Column 0, of lower index, still touches
+        # the open row 2.  Row 2 keeps an artificial, so the tableau is
+        # n + 1 columns wide.
+        P = Polyhedron(5, self.TRIANGLE, [4.0, 0.0, 5.0], np.zeros(5), self.TRIANGLE_UPPER)
+        sim = _Simplex(P, np.ones(5))
+        assert sim.basis.tolist() == [1, 2, 5]
+        assert sim.E_full.shape == (3, 6)
+        assert sim.x.tolist() == [0.0, 2.0, 0.0, 0.0, 0.0, 5.0]
+        sol = lp_solve(np.ones(5), P)
+        ref = highs(np.ones(5), P)
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+        assert P.contains(sol.point)
+        # With a zero residual in row 2 as well, singleton 4 takes row 2 in
+        # the first wave.  Column 0 is then open only in row 1 and, of the
+        # lowest index, takes it in the second, and no artificial is left.
+        P = Polyhedron(5, self.TRIANGLE, [4.0, 0.0, 0.0], np.zeros(5), self.TRIANGLE_UPPER)
+        sim = _Simplex(P, np.ones(5))
+        assert sim.basis.tolist() == [1, 0, 4]
+        assert sim.E_full.shape == (3, 5)
+
+    def test_nonzero_residual_takes_no_shared_column(self):
+        # Row 2's residual is 5: singleton 4 cannot absorb it, and columns
+        # 0 and 3 are open only in row 2 once rows 0 and 1 are crashed,
+        # but they touch other rows, so they may not move.  Row 2 keeps
+        # its artificial, whatever the waves before it.
+        for e0 in (4.0, 0.0):
+            P = Polyhedron(5, self.TRIANGLE, [e0, 0.0, 5.0], np.zeros(5), self.TRIANGLE_UPPER)
+            sim = _Simplex(P, np.zeros(5))
+            assert sim.basis[2] == 5
+            assert sim.basis[:2].tolist() == [1, 2]
+
+    def test_l1_ball_crash_is_complete(self):
+        # The slack takes the last row and each p_i its own row, so the
+        # tableau has no artificial column and phase 1 takes no pivot.
+        R = np.random.default_rng(3).standard_normal((10, 4))
+        P = _l1_ball_lp(R)
+        sim = _Simplex(P, np.zeros(P.num_vars))
+        assert sim.basis.tolist() == list(range(4, 14)) + [24]
+        assert sim.E_full.shape == (11, 25)
+        sim._run_phase(np.zeros(sim.ntot), stop_at_feasible=True)
+        assert sim.pivots == 0
+
     def test_crash_matches_row_scan(self):
         rng = np.random.default_rng(19)
-        for _ in range(100):
-            P = sparse_polyhedron(rng)
+        shared = 0
+        for draw in range(200):
+            P = sparse_polyhedron(rng) if draw % 2 else triangular_polyhedron(rng)
             sim = _Simplex(P, np.zeros(P.num_vars))
-            basis, upper = crash_by_row_scan(P)
+            basis = crash_by_row_scan(P)
             assert np.array_equal(sim.basis, basis)
-            assert np.array_equal(sim.upper, upper)
+            assert sim.E_full.shape[1] == P.num_vars + np.count_nonzero(basis >= P.num_vars)
+            crashed = basis[basis < P.num_vars]
+            shared += np.any(np.count_nonzero(P.E[:, crashed], axis=0) > 1)
+        assert shared >= 20, shared
+
+    def test_zero_residual_rows_against_reference_solver(self):
+        rng = np.random.default_rng(41)
+        seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "shared column crashed": 0,
+                "open row left": 0}
+        for _ in range(200):
+            P = triangular_polyhedron(rng)
+            c = rng.standard_normal(P.num_vars)
+            mine = lp_solve(c, P)
+            ref = highs(c, P)
+            seen[mine.status] += 1
+            basis = _Simplex(P, c).basis
+            crashed = basis[basis < P.num_vars]
+            seen["shared column crashed"] += bool(np.any(np.count_nonzero(P.E[:, crashed], axis=0) > 1))
+            seen["open row left"] += bool(np.any(basis >= P.num_vars))
+            if ref.status == 0:
+                assert mine.status == "optimal"
+                assert mine.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+                assert P.contains(mine.point)
+            else:
+                assert mine.status == {2: "infeasible", 3: "unbounded"}[ref.status]
+        assert min(seen.values()) >= 10, seen
 
     def test_weak_duality_spot_check(self):
         # Any feasible point's objective bounds the optimum from above

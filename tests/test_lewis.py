@@ -220,6 +220,16 @@ class TestAgainstSpectralReference:
             with pytest.raises(NumericalError, match=message):
                 lewis._lewis_step(A, np.ones(A.shape[0]))
 
+    @pytest.mark.parametrize("A, message", [
+        (np.ones(3), "2-D"),
+        (np.zeros((0, 2)), "2-D"),
+        (np.array([[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]]), "NaN or infinity"),
+        (np.array([[1.0, 0.0], [0.0, np.inf], [1.0, 1.0]]), "NaN or infinity"),
+    ], ids=["one-dimensional", "no-rows", "nan", "inf"])
+    def test_malformed_array_is_an_input_error(self, A, message):
+        with pytest.raises(InputError, match=message):
+            lewis_position(A)
+
 
 def row_scaled(rng, m, d, spread):
     """Gaussian m x d generators, rows scaled by exp(U(-ln spread, ln spread))."""

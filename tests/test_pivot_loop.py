@@ -18,7 +18,7 @@ from zonobalance.lewis import lewis_position
 from zonobalance.verify import _l1_ball_lp, polar_identity_check, width_estimate
 from zonobalance.zonotope import VectorFamily, Zonotope, zonotope_norm
 
-from test_convex import highs, random_polyhedron, sparse_polyhedron
+from test_convex import highs, random_polyhedron, sparse_polyhedron, triangular_polyhedron
 from test_zonotope import highs_gauge
 
 
@@ -178,6 +178,10 @@ class TestSameAsPlainLoop:
         for _ in range(150):
             P = sparse_polyhedron(rng)
             lps.append((P, rng.standard_normal(P.num_vars)))
+        # Crash bases with shared columns on zero-residual rows.
+        for _ in range(100):
+            P = triangular_polyhedron(rng)
+            lps.append((P, rng.standard_normal(P.num_vars)))
         statuses = assert_same(lps)
         assert {"optimal", "infeasible", "unbounded"} <= set(statuses), statuses
         # Bland's rule from the first pivot, and a switch to it mid-phase.
@@ -220,9 +224,11 @@ class TestSameAsPlainLoop:
 class TestPivotCounts:
     # Pinned through LpSolution.pivots.  The width LPs have d free columns
     # each, which the pricing takes first (5,144 pivots when they waited
-    # for the largest reduced cost); the gauge LPs have none.
+    # for the largest reduced cost), and the crash gives every row a
+    # structural column (3,876 pivots when each p_i row started on an
+    # artificial pinned at zero).  The gauge LPs have neither.
     def test_width_lps(self):
-        assert sum(lp_solve(c, P).pivots for P, c in width_lps()) == 3876
+        assert sum(lp_solve(c, P).pivots for P, c in width_lps()) == 2813
 
     def test_gauge_lps(self):
         lps = gauge_lps()
