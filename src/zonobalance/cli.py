@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rescale", action="store_true",
                    help="rescale vectors slightly outside the body instead of rejecting")
     p.add_argument("--exact-finish", action="store_true",
-                   help="finish by exhaustive search once at most 8 coordinates remain")
+                   help="finish by exhaustive search once at most 8 coordinates remain, not 2")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--oracle", action="store_true",

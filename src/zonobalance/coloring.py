@@ -5,8 +5,10 @@ shifted sign cube with a scaled coordinate body, represented through its
 lift over cube preimages.  Coordinates that land on the cube boundary
 are clamped to exact signs; a round is accepted once at least half the
 active coordinates become signs and the movement stays within the round
-scale.  Accepted rounds at least halve the active set, so the driver
-finishes within ceil(log2 n) + 1 rounds.
+scale.  Accepted rounds at least halve the active set, and the last two
+open coordinates (eight under `exact_finish`) are finished by trying
+every sign completion, so the driver finishes within ceil(log2 n) + 1
+rounds.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ TOL_TIGHT = 1e-7
 DEFAULT_C0 = 2.0
 DEFAULT_RETRIES = 16
 MAX_DOUBLINGS = 24
+
+# Active sets of at most this many coordinates are finished by trying
+# every sign completion; `balance(exact_finish=True)` uses the larger one.
+FINISH_MAX = 2
+EXACT_FINISH_MAX = 8
 
 # Std deviation of the Gaussian fed to the projection.  With a unit
 # Gaussian, even a free cube clamps only P(|N(0,1)|>=1) ~ 31.7% of the
@@ -73,45 +80,20 @@ def _doubled_scales(k: int, d: int, c0: float, failure):
 
 
 def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
-                      offset: np.ndarray | None = None) -> PartialColoringStep:
-    """Exact round: try every completion of y and keep the first best one.
-
-    Without `offset` (the k <= 2 endpoint of a partial coloring) a
-    completion fixes at least half the coordinates and the smallest
-    increment wins; a completion that moves one coordinate i has the
-    increment |y_i - x_i| ||v_i||, so each vector's gauge is solved once.
-    With `offset` (the exact finish of `balance`) every coordinate
-    becomes a sign and the smallest ||offset + sum_i x_i v_i|| wins.  The
-    scale doubles from c0 until it covers the increment.
+                      offset: np.ndarray) -> PartialColoringStep:
+    """Exact finish: try every sign completion x of y and keep the first
+    with the least ||offset + sum_i x_i v_i||.  The scale doubles from c0
+    until it covers the increment ||sum_i (y_i - x_i) v_i||.
     """
     k = y.shape[0]
-    if offset is None:
-        choices, need = (1.0, -1.0, None), (k + 1) // 2
-        unit = [zonotope_norm(Z, v) for v in V.V]  # ||v_i||
-    else:
-        choices, need = (-1.0, 1.0), k
-    best = None
-    for pattern in itertools.product(choices, repeat=k):
-        moved = [i for i in range(k) if pattern[i] is not None]
-        if len(moved) < need:
-            continue
-        y_new = np.array([y[i] if pattern[i] is None else pattern[i] for i in range(k)])
-        if offset is not None:
-            val = zonotope_norm(Z, offset + V.V.T @ y_new)
-        elif len(moved) == 1:
-            i = moved[0]
-            val = float(abs(y[i] - y_new[i])) * unit[i]
-        else:
-            val = zonotope_norm(Z, V.V.T @ (y - y_new))
-        if best is None or val < best[0]:
-            best = (val, y_new, len(moved))
-    val, y_new, fixed = best
-    inc = val if offset is None else zonotope_norm(Z, V.V.T @ (y - y_new))
+    y_new = min((np.array(pattern) for pattern in itertools.product((-1.0, 1.0), repeat=k)),
+                key=lambda x: zonotope_norm(Z, offset + V.V.T @ x))
+    inc = zonotope_norm(Z, V.V.T @ (y - y_new))
     scales = _doubled_scales(k, Z.d, c0, lambda: f"increment {inc!r} exceeds every round scale")
     for c, s in scales:
         if inc <= s:
             return PartialColoringStep(y_new=y_new, increment=inc, scale_used=s,
-                                       c_used=c, attempts=1, tight_gained=fixed)
+                                       c_used=c, attempts=1, tight_gained=k)
 
 
 def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
@@ -125,8 +107,7 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
     c0 * sqrt(k log2(2d/k)) and doubles after every `retries` failed
     Gaussian draws from `rng`; a draw fails when its projection raises
     NumericalError (the final error counts these), when fewer than half
-    the coordinates clamp, or when the movement exceeds the scale.  At
-    most two active coordinates are colored by exact enumeration instead.
+    the coordinates clamp, or when the movement exceeds the scale.
     """
     if V.d != Z.d:
         raise InputError(f"vectors have dimension {V.d}, the body has {Z.d}")
@@ -140,9 +121,6 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
         raise InputError(f"more active vectors ({k}) than the body's dimension ({Z.d})")
     if np.any(np.abs(y) >= 1.0):
         raise InputError("active coordinates must be strictly inside (-1, 1)")
-
-    if k <= 2:
-        return _enumeration_step(Z, V, y, c0)
 
     need = (k + 1) // 2
     attempts = 0
@@ -169,7 +147,6 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
                 best_count = max(best_count, count)
                 continue
             y_new[tight] = np.sign(y_new[tight])
-            np.clip(y_new, -1.0, 1.0, out=y_new)
             inc = zonotope_norm(Z, V.V.T @ (y - y_new))
             if inc > s:
                 continue
@@ -215,9 +192,10 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
     """Balance the family to exact signs by iterated partial coloring.
 
     Deterministic given (instance, seed, c0): the Gaussian stream is
-    drawn from a fresh PCG64 generator seeded with `seed`.  With
-    `exact_finish`, active sets of size at most 8 are completed by
-    exhaustive enumeration instead of further coloring rounds.
+    drawn from a fresh PCG64 generator seeded with `seed`.  Once at most
+    FINISH_MAX coordinates are open (EXACT_FINISH_MAX with
+    `exact_finish`), one last round tries every sign completion and keeps
+    the one of least discrepancy.
     """
     n, d = V.n, Z.d
     if V.d != d:
@@ -237,7 +215,7 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
     c_final = c0
     while active.size:
         k = active.size
-        if exact_finish and k <= 8:
+        if k <= (EXACT_FINISH_MAX if exact_finish else FINISH_MAX):
             offset = V.V.T @ y - V.V[active].T @ y[active]
             step = _enumeration_step(Z, V.restrict(active), y[active], c0, offset)
         else:

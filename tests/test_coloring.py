@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from zonobalance import coloring
+from zonobalance.cli import bench_specs, execute_spec, main
 from zonobalance.coloring import balance, partial_coloring, round_scale
 from zonobalance.convex import lp_solve
 from zonobalance.errors import InputError, NumericalError
@@ -69,14 +70,13 @@ class TestPartialColoring:
         assert step.tight_gained == 1
 
     def test_cancelling_pair(self):
+        # Two open coordinates are finished by balance's sign search.
         Z = Zonotope(np.eye(2))
         v = np.array([0.3, -0.7])
-        V = VectorFamily(np.vstack([v, -v]))
-        step = partial_coloring(Z, V, np.zeros(2), rng=np.random.default_rng(0))
-        assert set(np.abs(step.y_new)) == {1.0}
-        assert step.y_new[0] == step.y_new[1]  # same sign cancels
-        assert step.increment <= 1e-6
-        assert step.tight_gained == 2
+        rep = balance(Z, VectorFamily(np.vstack([v, -v])), seed=0)
+        assert set(np.abs(rep.signs)) == {1}
+        assert rep.signs[0] == rep.signs[1]  # same sign cancels
+        assert rep.discrepancy <= 1e-9
 
     def test_regression_cube_d8(self):
         # Frozen run of the implementation; correctness rides on the
@@ -166,24 +166,43 @@ class TestPartialColoring:
             partial_coloring(Z, V, np.zeros(8), retries=2, rng=np.random.default_rng(0))
 
 
-def all_patterns_endpoint(Z, V, y):
-    """The k <= 2 endpoint with one gauge LP per completion: the first
-    completion of least increment among those fixing half the coordinates."""
-    k = y.shape[0]
+    def test_one_and_two_coordinates_take_the_projection(self, monkeypatch):
+        project, projected = coloring.project_polyhedron, []
+
+        def counted(g, P, *, z0):
+            projected.append(1)
+            return project(g, P, z0=z0)
+
+        monkeypatch.setattr(coloring, "project_polyhedron", counted)
+        rng = np.random.default_rng(5)
+        for body in range(20):
+            k = 1 + body % 2
+            Z, V = random_zonotope_instance(int(rng.integers(2, 7)), 12, k, seed=body)
+            y = np.zeros(k) if body < 4 else rng.uniform(-0.9, 0.9, k)
+            projected.clear()
+            step = partial_coloring(Z, V, y, rng=np.random.default_rng(body))
+            assert len(projected) == step.attempts >= 1
+            signs = np.abs(step.y_new) == 1.0
+            assert np.count_nonzero(signs) == step.tight_gained >= (k + 1) // 2
+            assert np.all(np.abs(step.y_new[~signs]) < 1.0)
+            assert step.increment == zonotope_norm(Z, V.V.T @ (y - step.y_new))
+            assert step.increment <= step.scale_used
+
+
+def first_best_completion(Z, V, offset):
+    """The first sign vector, in itertools order, of least
+    ||offset + sum_i x_i v_i||, with one gauge LP per sign vector."""
     best = None
-    for pattern in itertools.product((1.0, -1.0, None), repeat=k):
-        fixed = sum(1 for p in pattern if p is not None)
-        if fixed < (k + 1) // 2:
-            continue
-        y_new = np.array([y[i] if pattern[i] is None else pattern[i] for i in range(k)])
-        val = zonotope_norm(Z, V.V.T @ (y - y_new))
+    for pattern in itertools.product((-1.0, 1.0), repeat=V.n):
+        x = np.array(pattern)
+        val = zonotope_norm(Z, offset + V.V.T @ x)
         if best is None or val < best[0]:
-            best = (val, y_new, fixed)
-    return best
+            best = (val, x)
+    return best[1]
 
 
-class TestEndpoint:
-    def test_matches_all_patterns_loop(self, monkeypatch):
+class TestExactFinish:
+    def test_matches_first_best_completion(self, monkeypatch):
         calls = []
         norm = coloring.zonotope_norm
 
@@ -193,25 +212,35 @@ class TestEndpoint:
 
         monkeypatch.setattr(coloring, "zonotope_norm", counted)
         rng = np.random.default_rng(21)
-        draws = {1: 0, 2: 0}
-        for body in range(40):
-            d = int(rng.integers(2, 7))
-            k = 1 + body % 2
-            Z, V = random_zonotope_instance(d, 4 * d, k, seed=body)
-            for draw in range(5):
-                # Some draws start at zero, where the two signs of a
-                # coordinate tie and the first pattern must win.
-                y = np.zeros(k) if draw == 0 else rng.uniform(-1.0, 1.0, k)
-                val, y_ref, fixed = all_patterns_endpoint(Z, V, y)
+        draws = {}
+        for body, k in enumerate([1, 2] * 12 + [3, 5, 8]):
+            if k <= 2:
+                d = int(rng.integers(2, 7))
+                Z, V = random_zonotope_instance(d, 4 * d, k + 2, seed=body)
+            else:  # the cube's gauge is in closed form, so 2^k of them are cheap
+                d = k + 2
+                Z, V = spencer_instance(d, seed=body)
+            V, fixed = VectorFamily(V.V[:k]), V.V[k:]
+            for draw in range(3):
+                # The first draw starts at zero with no offset, where x and
+                # -x tie and the first completion must win.
+                if draw == 0:
+                    y, offset = np.zeros(k), np.zeros(d)
+                else:
+                    y = rng.uniform(-1.0, 1.0, k)
+                    offset = fixed.T @ rng.choice([-1.0, 1.0], 2)
+                x_ref = first_best_completion(Z, V, offset)
                 calls.clear()
-                step = partial_coloring(Z, V, y, rng=np.random.default_rng(0))
-                assert len(calls) == {1: 1, 2: 6}[k]
-                assert np.array_equal(step.y_new, y_ref)
-                assert step.tight_gained == fixed
+                step = coloring._enumeration_step(Z, V, y, 2.0, offset)
+                assert len(calls) == 2**k + 1
+                assert np.array_equal(step.y_new, x_ref)
+                assert step.tight_gained == k and step.attempts == 1
                 assert type(step.increment) is float  # its repr is printed
-                assert step.increment == pytest.approx(val, rel=1e-12, abs=1e-12)
-                draws[k] += 1
-        assert draws == {1: 100, 2: 100}
+                assert step.increment == norm(Z, V.V.T @ (y - x_ref))
+                assert step.increment <= step.scale_used
+                assert step.scale_used == round_scale(k, d, step.c_used)
+                draws[k] = draws.get(k, 0) + 1
+        assert draws == {1: 36, 2: 36, 3: 3, 5: 3, 8: 3}
 
 
 class TestBalance:
@@ -238,9 +267,13 @@ class TestBalance:
         Z = Zonotope(np.eye(8))
         V = VectorFamily(rng.uniform(-1.0, 1.0, (8, 8)))
         rep = balance(Z, V, seed=42)
-        assert rep.signs.tolist() == [1, -1, 1, 1, -1, -1, -1, 1]
-        assert rep.discrepancy == pytest.approx(2.891168330059776, rel=1e-12)
+        assert rep.signs.tolist() == [-1, -1, 1, 1, -1, -1, -1, 1]
+        assert rep.discrepancy == pytest.approx(2.470065955413796, rel=1e-12)
         assert rep.rounds == 3
+        # 2.891168330059776 came from an endpoint that fixed one of the
+        # last open coordinates per round.  The sign search compares that
+        # completion too, so it can only do better.
+        assert rep.discrepancy <= 2.891168330059776
 
     def test_all_signs_and_accounting(self):
         for seed in range(3):
@@ -323,3 +356,46 @@ class TestBalance:
         from zonobalance.verify import brute_force_min_discrepancy
         assert rep.discrepancy == pytest.approx(
             brute_force_min_discrepancy(Z, V).opt, abs=1e-9)
+
+
+class TestDoublingOnGridSpecs:
+    # At c0 = 0.5 these runs of the default grid's first three dimensions
+    # double their scale with nothing patched: run 0 (cube, d = 8) in its
+    # two-coordinate finish, run 43 (spencer-random, d = 16) in its first
+    # projection round and again in its finish.
+    KINDS = ["cube", "spencer-random", "random-zonotope"]
+    C0 = 0.5
+    RUNS = (0, 43)
+
+    def test_both_doubling_paths_keep_the_round_contract(self):
+        specs = bench_specs(self.KINDS, [8, 16, 32], 10, 0, 4)
+        doubled = set()
+        for spec in (specs[i] for i in self.RUNS):
+            _, rep, Z, V = execute_spec(spec, c0=self.C0)
+            assert set(np.abs(rep.signs)) == {1}
+            assert rep.rounds <= math.ceil(math.log2(spec.n)) + 1
+            sizes = [r.n_active for r in rep.log]
+            assert sizes[0] == spec.n
+            for r, nxt in zip(rep.log, sizes[1:] + [0]):
+                assert r.tight_gained >= math.ceil(r.n_active / 2)
+                assert nxt == r.n_active - r.tight_gained
+                assert r.increment <= r.scale_used
+                assert r.scale_used == round_scale(r.n_active, spec.d, r.c_used)
+                assert math.log2(r.c_used / self.C0).is_integer()
+                if r.c_used > self.C0:
+                    doubled.add("finish" if r.n_active <= coloring.FINISH_MAX else "projection")
+            assert rep.c_final == max(r.c_used for r in rep.log) > self.C0
+            assert rep.discrepancy == zonotope_norm(Z, V.V.T @ rep.signs.astype(float))
+        assert doubled == {"finish", "projection"}
+
+    def test_cli_balance_doubles_and_exits_zero(self, tmp_path, capsys):
+        spec = bench_specs(self.KINDS, [8], 1, 0, 4)[0]
+        path = str(tmp_path / "run0.txt")
+        assert main(["gen", "--kind", spec.kind, "--d", str(spec.d), "--m", str(spec.m),
+                     "--n", str(spec.n), "--seed", str(spec.instance_seed), "--out", path]) == 0
+        assert main(["balance", path, "--seed", str(spec.balance_seed), "--c0", str(self.C0),
+                     "--format", "csv"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1]
+        expected = execute_spec(spec, c0=self.C0)[0]
+        assert row.rsplit(",", 11)[1:] == expected.rsplit(",", 11)[1:]
+        assert float(row.split(",")[-2]) == 2 * self.C0  # c_final

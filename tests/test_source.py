@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -23,3 +24,16 @@ def test_no_assert_statements():
              if isinstance(node, ast.Assert)]
     if found:
         pytest.fail("assert statements in the library: " + ", ".join(found))
+
+
+def test_console_script_resolves_to_a_callable():
+    # The test runs import the package from the source tree, so this is
+    # what checks the entry point that an install would write.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip(f"no pyproject.toml next to the source tree {SRC}")
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"zonobalance": "zonobalance.cli:main"}
+    module, _, attr = scripts["zonobalance"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
