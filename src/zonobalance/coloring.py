@@ -25,7 +25,7 @@ from .zonotope import VectorFamily, Zonotope, zonotope_norm
 
 TOL_TIGHT = 1e-7
 DEFAULT_C0 = 2.0
-DEFAULT_RETRIES = 16
+RETRIES = 16
 MAX_DOUBLINGS = 24
 
 # Active sets of at most this many coordinates are finished by trying
@@ -97,14 +97,14 @@ def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
 
 
 def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
-                     retries: int = DEFAULT_RETRIES, *, rng) -> PartialColoringStep:
+                     *, rng) -> PartialColoringStep:
     """One partial-coloring round over the active coordinates.
 
     `V` holds the active vectors only, at most d of them, and `y` their
     fractional values, all strictly inside (-1, 1).  Returns the new
     fractional point (at least half its entries exact signs), the
     measured movement norm, and the accepted scale.  The scale starts at
-    c0 * sqrt(k log2(2d/k)) and doubles after every `retries` failed
+    c0 * sqrt(k log2(2d/k)) and doubles after every RETRIES failed
     Gaussian draws from `rng`; a draw fails when its projection raises
     NumericalError (the final error counts these), when fewer than half
     the coordinates clamp, or when the movement exceeds the scale.
@@ -132,7 +132,7 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
         f"{failed} of {attempts} projections failed"))
     for c, s in scales:
         P = _lift(Z, V.V, -1.0 - y, 1.0 - y, s)
-        for _ in range(retries):
+        for _ in range(RETRIES):
             attempts += 1
             g = GAUSSIAN_SCALE * rng.standard_normal(k)
             try:
@@ -187,8 +187,7 @@ class BalanceReport:
 
 
 def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
-            seed: int = 0, retries: int = DEFAULT_RETRIES,
-            exact_finish: bool = False) -> BalanceReport:
+            seed: int = 0, exact_finish: bool = False) -> BalanceReport:
     """Balance the family to exact signs by iterated partial coloring.
 
     Deterministic given (instance, seed, c0): the Gaussian stream is
@@ -204,8 +203,6 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
         raise InputError("instance must be preprocessed (requires n <= d)")
     if not (c0 > 0.0 and math.isfinite(c0)):
         raise InputError(f"c0 must be positive and finite, got {c0!r}")
-    if retries < 1:
-        raise InputError(f"retries must be at least 1, got {retries}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -219,8 +216,7 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
             offset = V.V.T @ y - V.V[active].T @ y[active]
             step = _enumeration_step(Z, V.restrict(active), y[active], c0, offset)
         else:
-            step = partial_coloring(Z, V.restrict(active), y[active],
-                                    c0=c0, retries=retries, rng=rng)
+            step = partial_coloring(Z, V.restrict(active), y[active], c0=c0, rng=rng)
         # Written so that NaN fails the check too.
         if not np.all(np.abs(step.y_new) <= 1.0):
             raise NumericalError("a coloring round left the sign cube")

@@ -42,10 +42,12 @@ _FREE = 2
 _BASIC = 3
 
 
-def _as_vector(x, name: str) -> np.ndarray:
+def _as_vector(x, name: str, finite: bool = True) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+    if finite and not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
     return v
 
 
@@ -64,8 +66,8 @@ class Polyhedron:
         if E.size == 0:
             E = E.reshape(0, self.num_vars)
         e = _as_vector(self.e, "e").copy()
-        lower = _as_vector(self.lower, "lower").copy()
-        upper = _as_vector(self.upper, "upper").copy()
+        lower = _as_vector(self.lower, "lower", finite=False).copy()
+        upper = _as_vector(self.upper, "upper", finite=False).copy()
         if E.shape[1] != self.num_vars:
             raise ValueError(f"E has {E.shape[1]} columns, expected {self.num_vars}")
         if e.shape[0] != E.shape[0]:
@@ -76,8 +78,8 @@ class Polyhedron:
             raise ValueError("lower bound exceeds upper bound")
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
             raise ValueError("a lower bound of +inf or an upper bound of -inf admits no value")
-        if not np.all(np.isfinite(E)) or not np.all(np.isfinite(e)):
-            raise ValueError("E and e must be finite")
+        if not np.all(np.isfinite(E)):
+            raise ValueError("E must be finite")
         for arr, name in ((E, "E"), (e, "e"), (lower, "lower"), (upper, "upper")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -87,7 +89,7 @@ class Polyhedron:
         return self.E.shape[0]
 
     def contains(self, z: np.ndarray) -> bool:
-        """Feasibility check with absolute tolerance 1e-7."""
+        """Feasibility check with absolute tolerance 1e-7 (ValueError on NaN or inf)."""
         z = _as_vector(z, "z")
         if z.shape[0] != self.num_vars:
             return False
@@ -378,7 +380,8 @@ def lp_solve(objective, P: Polyhedron) -> LpSolution:
     To maximize, pass the negated objective and negate the optimum.
     Infeasible and unbounded problems are reported through the status
     field, and `pivots` counts every pivot the call took.  The pivot
-    order is fixed, so identical inputs produce identical outputs.
+    order is fixed, so identical inputs produce identical outputs.  A NaN
+    or infinite objective entry raises ValueError.
     """
     c = _as_vector(objective, "objective")
     if c.shape[0] != P.num_vars:
@@ -401,7 +404,8 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     len(g) coordinates enter the squared distance.  The full point is
     returned; slice off the target block as needed.
 
-    The walk starts from `z0`, which must lie in P (ValueError if not).
+    The walk starts from `z0`, which must lie in P.  A `g` or `z0` with a
+    NaN or infinite entry, or a `z0` outside P, raises ValueError.
     Each active set is factored once, E_free = U S V^T, for the step in
     ker(E_free) and for the bound multipliers (the null-space method of
     Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.5).

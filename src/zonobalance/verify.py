@@ -11,7 +11,7 @@ import numpy as np
 
 from .coloring import BalanceReport
 from .convex import Polyhedron, lp_solve
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .lewis import LewisPosition
 from .zonotope import VectorFamily, Zonotope, zonotope_norm
 
@@ -73,8 +73,8 @@ def _l1_ball_max(P: Polyhedron, objective: np.ndarray) -> float:
     c = np.zeros(P.num_vars)
     c[:objective.shape[0]] = objective
     sol = lp_solve(-c, P)
-    if not sol.is_optimal:
-        raise InputError("l1-ball LP unexpectedly " + sol.status)
+    if not sol.is_optimal:  # R has full column rank: feasible at x = 0, bounded
+        raise NumericalError("l1-ball LP unexpectedly " + sol.status)
     return -sol.objective
 
 

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import zonobalance
-from zonobalance import coloring
+from zonobalance import cli, coloring, verify
 from zonobalance.cli import main
 from zonobalance.instancefile import InstanceFile, generate_instance, serialize_instance
 from zonobalance.seeding import run_seed, splitmix64
@@ -124,7 +126,9 @@ class TestExitCodes:
 
     def test_unknown_flag_exits_one(self, capsys, cube4):
         for argv in (("balance", cube4, "--frobnicate"),
-                     ("lewis", cube4, "--max-iter", "200")):
+                     ("lewis", cube4, "--max-iter", "200"),
+                     ("balance", cube4, "--retries", "16"),
+                     ("bench", "--retries", "16")):
             code, _, err = run_cli(capsys, *argv)
             assert code == 1
             assert "usage" in err.lower() or "error" in err.lower()
@@ -160,12 +164,11 @@ class TestExitCodes:
         ("--c0", "0", "--exact-finish"),
         ("--c0", "-1", "--exact-finish"),
         ("--c0", "0"),
-        ("--retries", "0"),
     ])
     def test_bad_c0_or_retries_exits_one(self, capsys, cube4, flags):
         code, _, err = run_cli(capsys, "balance", cube4, *flags)
         assert code == 1
-        assert "c0" in err or "retries" in err
+        assert "c0" in err
 
     @pytest.mark.parametrize("command, flags", [
         ("check", ("--trials", "0")),
@@ -181,13 +184,52 @@ class TestExitCodes:
         ("--seeds", "-2", "--d-list", "4"),
         ("--kinds", ""),
         ("--d-list", ","),
+        ("--m-factor", "0"),
+        ("--d-list", "8,16,32,64,0"),
     ])
-    def test_bench_seeds_below_one_exits_one(self, capsys, flags):
-        # An empty sweep (no seed, kind or dimension) is an input error.
+    def test_bench_seeds_below_one_exits_one(self, capsys, monkeypatch, flags):
+        # An empty sweep (no seed, kind or dimension) or an empty body is an
+        # input error, refused before the first spec runs.
+        real, executed = cli.execute_spec, []
+
+        def spy(spec, *args):
+            executed.append(spec)
+            return real(spec, *args)
+
+        monkeypatch.setattr(cli, "execute_spec", spy)
         code, out, err = run_cli(capsys, "bench", *flags)
         assert code == 1
         assert out == ""
         assert "at least 1" in err
+        assert executed == []
+
+    def test_balance_oracle_above_its_cap_balances_nothing(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "spencer24.txt"
+        assert main(["gen", "--kind", "spencer-random", "--d", "24", "--n", "24",
+                     "--out", str(path)]) == 0
+        real, balanced = coloring.balance, []
+
+        def spy(*args, **kwargs):
+            balanced.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coloring, "balance", spy)
+        code, out, err = run_cli(capsys, "balance", str(path), "--oracle")
+        assert code == 1
+        assert out == ""
+        assert f"n <= {verify.ORACLE_CAP}, got n = 24" in err
+        assert balanced == []
+
+    def test_l1_ball_lp_failure_exits_two(self, capsys, monkeypatch, spencer6):
+        # The l1-ball LPs are feasible and bounded, so only a solver failure
+        # reports them unbounded.
+        unbounded = zonobalance.LpSolution("unbounded", None, math.nan, 0)
+        monkeypatch.setattr(verify, "lp_solve", lambda c, P: unbounded)
+        for argv in (("width", spencer6, "--samples", "5"), ("check", spencer6, "--trials", "3")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "l1-ball LP unexpectedly unbounded" in err
 
     def test_norm_outside_generator_span_exits_one(self, capsys, monkeypatch):
         # The generators span the first two axes only.
@@ -207,6 +249,29 @@ class TestExitCodes:
 
 
 class TestSubcommands:
+    # Every flag each subcommand accepts, and the commands that read an
+    # instance file.
+    FLAGS = {
+        "gen": {"--kind", "--d", "--m", "--n", "--seed", "--out"},
+        "balance": {"instance", "--seed", "--c0", "--rescale", "--exact-finish", "--format",
+                    "--oracle", "--out"},
+        "norm": {"instance", "--x", "--out"},
+        "lewis": {"instance", "--out"},
+        "oracle": {"instance", "--rescale", "--out"},
+        "check": {"instance", "--trials", "--seed", "--out"},
+        "width": {"instance", "--samples", "--seed", "--out"},
+        "bench": {"--kinds", "--d-list", "--seeds", "--master-seed", "--c0", "--m-factor",
+                  "--oracle-upto", "--out"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_every_flag(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z0-9-]+", out)) - {"--help"}
+        instance = {"instance"} if re.search(r"^  instance ", out, re.M) else set()
+        assert flags | instance == self.FLAGS[command]
+
     def test_lewis_output(self, capsys, spencer6):
         code, out, _ = run_cli(capsys, "lewis", spencer6)
         assert code == 0

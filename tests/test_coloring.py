@@ -84,8 +84,7 @@ class TestPartialColoring:
         rng = np.random.default_rng(42)
         Z = Zonotope(np.eye(8))
         V = VectorFamily(rng.uniform(-1.0, 1.0, (8, 8)))
-        step = partial_coloring(Z, V, np.zeros(8), c0=2.0, retries=16,
-                                rng=np.random.default_rng(42))
+        step = partial_coloring(Z, V, np.zeros(8), c0=2.0, rng=np.random.default_rng(42))
         assert step.tight_gained >= 4
         assert step.increment <= step.scale_used
         assert step.tight_gained == 5
@@ -126,8 +125,8 @@ class TestPartialColoring:
 
         monkeypatch.setattr(coloring, "project_polyhedron", failing_first)
         monkeypatch.setattr(coloring, "zonotope_norm", over_scale_second)
-        step = partial_coloring(Z, V, np.zeros(8), c0=2.0, retries=2,
-                                rng=np.random.default_rng(0))
+        monkeypatch.setattr(coloring, "RETRIES", 2)
+        step = partial_coloring(Z, V, np.zeros(8), c0=2.0, rng=np.random.default_rng(0))
         assert normed == [2, 3]
         assert step.attempts == 3
         assert step.c_used == 4.0
@@ -143,11 +142,12 @@ class TestPartialColoring:
             raise NumericalError("injected projection failure")
 
         monkeypatch.setattr(coloring, "project_polyhedron", failing)
+        monkeypatch.setattr(coloring, "RETRIES", 2)
         Z, V = spencer_instance(8, seed=0)
         # 25 scales (c0 and 24 doublings) of two draws each.
         with pytest.raises(NumericalError, match=r"after 50 draws .*; 50 of 50 projections "
                                                  r"failed; c0 = 2.0 doubled 24 times"):
-            partial_coloring(Z, V, np.zeros(8), retries=2, rng=np.random.default_rng(0))
+            partial_coloring(Z, V, np.zeros(8), rng=np.random.default_rng(0))
 
     def test_failed_projections_counted_among_rejected_draws(self, monkeypatch):
         # Every other projection fails; the rest move over every scale.
@@ -161,9 +161,10 @@ class TestPartialColoring:
 
         monkeypatch.setattr(coloring, "project_polyhedron", failing_odd)
         monkeypatch.setattr(coloring, "zonotope_norm", lambda Z, x: math.inf)
+        monkeypatch.setattr(coloring, "RETRIES", 2)
         Z, V = spencer_instance(8, seed=0)
         with pytest.raises(NumericalError, match=r"after 50 draws .*; 25 of 50 projections failed"):
-            partial_coloring(Z, V, np.zeros(8), retries=2, rng=np.random.default_rng(0))
+            partial_coloring(Z, V, np.zeros(8), rng=np.random.default_rng(0))
 
 
     def test_one_and_two_coordinates_take_the_projection(self, monkeypatch):

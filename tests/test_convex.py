@@ -29,6 +29,11 @@ def box(lower, upper, E=None, e=None):
     return Polyhedron(n, E, e, lower, np.asarray(upper, dtype=float))
 
 
+def segment():
+    """{z in [0, 1]^2 : z_1 + z_2 = 1}."""
+    return Polyhedron(2, [[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])
+
+
 def random_polyhedron(rng, n=None):
     """A random nonempty polyhedron with a known interior-ish point."""
     if n is None:
@@ -170,8 +175,17 @@ class TestPolyhedron:
         with pytest.raises(ValueError, match="inf"):
             Polyhedron(2, [[1.0, 1.0]], [1.0], lower, upper)
 
+    def test_contains_refuses_nan(self):
+        with pytest.raises(ValueError, match="z must be finite"):
+            segment().contains([np.nan, np.nan])
+
 
 class TestLpSolve:
+    @pytest.mark.parametrize("c", [[np.nan, 0.0], [np.inf, 0.0]])
+    def test_non_finite_objective_refused(self, c):
+        with pytest.raises(ValueError, match="objective must be finite"):
+            lp_solve(c, segment())
+
     def test_forced_equality(self):
         P = Polyhedron(1, np.array([[1.0]]), np.array([1.0]),
                        np.array([-np.inf]), np.array([np.inf]))
@@ -507,6 +521,15 @@ class TestLpSolve:
 
 
 class TestProjection:
+    @pytest.mark.parametrize("g, z0, name", [
+        ([np.nan, 0.0], [0.5, 0.5], "g"),
+        ([np.inf, 0.0], [0.5, 0.5], "g"),
+        ([0.3, 0.0], [np.nan, np.nan], "z0"),
+    ])
+    def test_non_finite_input_refused(self, g, z0, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            project_polyhedron(g, segment(), z0=np.array(z0))
+
     def test_point_already_inside(self):
         P, z = random_polyhedron(np.random.default_rng(2), n=6)
         out = project_polyhedron(z, P, z0=z)
