@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from dataclasses import dataclass
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from . import coloring, lewis, verify
 from .errors import InputError, NumericalError
-from .instancefile import KINDS, InstanceFile, generate_instance, parse_instance, serialize_instance
+from .instancefile import (KINDS, InstanceFile, check_kind, generate_instance, parse_instance,
+                           serialize_instance)
 from .seeding import run_seed
 from .zonotope import preprocess, reduce_generators, zonotope_norm
 
@@ -39,13 +41,24 @@ def _read_instance(path: str) -> InstanceFile:
         raise InputError(f"cannot read instance file {path}: {exc}")
 
 
+def _check_out(out: str | None):
+    """Refuse, before any work, an --out path that is a directory or lies
+    in a directory that does not exist."""
+    if out not in (None, "-") and (os.path.isdir(out)
+                                   or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise InputError(f"--out {out} is a directory or lies in a missing one")
+
+
 def _write(text: str, out: str | None):
     text = text if text.endswith("\n") else text + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write --out {out}: {exc}")
 
 
 def _seed(text: str) -> int:
@@ -131,7 +144,7 @@ def _preprocessed(path: str, rescale: bool = False):
 def _lewis_position(path: str) -> lewis.LewisPosition:
     """The Lewis position of the generators, for lewis and width."""
     Z, _ = reduce_generators(_read_instance(path).A)
-    return lewis.lewis_position(Z.A)
+    return lewis.lewis_position(Z)
 
 
 def _cmd_gen(args) -> str:
@@ -171,8 +184,6 @@ def _cmd_norm(args) -> str:
     if x.shape[0] != change.original_d:
         raise InputError(
             f"--x has dimension {x.shape[0]}, instance has {change.original_d}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("--x contains NaN or infinity")
     return repr(zonotope_norm(Z, change.rows_to_reduced(x[None, :])[0]))
 
 
@@ -232,17 +243,14 @@ class BenchSpec:
 
 def bench_specs(kinds: list[str], d_list: list[int], seeds: int,
                 master_seed: int, m_factor: int) -> list[BenchSpec]:
+    """The runs of a sweep; a spec its kind does not allow is refused here."""
     if seeds < 1:
         raise InputError(f"seeds must be at least 1, got {seeds}")
     if not kinds or not d_list:
         raise InputError("bench needs at least 1 kind and 1 dimension")
-    if min(d_list) < 1:
-        raise InputError(f"dimensions must be at least 1, got {min(d_list)}")
-    if m_factor < 1 and "random-zonotope" in kinds:
-        raise InputError(f"m_factor must be at least 1, got {m_factor}")
     grid = itertools.product(kinds, d_list, range(seeds))
     return [BenchSpec(index=index, kind=kind, d=d, n=d,
-                      m=m_factor * d if kind == "random-zonotope" else d,
+                      m=check_kind(kind, d, m_factor * d if kind == "random-zonotope" else None, d),
                       run_seed=run_seed(master_seed, index))
             for index, (kind, d, _) in enumerate(grid)]
 
@@ -261,9 +269,6 @@ def execute_spec(spec: BenchSpec, c0: float = coloring.DEFAULT_C0, oracle_upto: 
 
 def _cmd_bench(args) -> str:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for k in kinds:
-        if k not in KINDS:
-            raise InputError(f"unknown kind {k!r} in --kinds")
     try:
         d_list = [int(t) for t in args.d_list.split(",") if t.strip()]
     except ValueError:
@@ -289,6 +294,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         _write(args.run(args), args.out)
         return 0
     except SystemExit as exc:

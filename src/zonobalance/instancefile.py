@@ -120,8 +120,30 @@ def serialize_instance(inst: InstanceFile) -> str:
 KINDS = ("cube", "spencer-random", "random-zonotope", "duplicated")
 
 
+def check_kind(kind: str, d: int, m: int | None, n: int) -> int:
+    """The rules of an instance kind; returns the generator count m.
+
+    The identity kinds (all but random-zonotope) take m = d, and
+    random-zonotope needs an m.  Every kind needs 1 <= n <= d <= m, and
+    duplicated an even n.  Violations raise InputError.
+    """
+    if kind not in KINDS:
+        raise InputError(f"unknown instance kind {kind!r}; choose from {KINDS}")
+    if kind != "random-zonotope":
+        m = d if m is None else m
+        if m != d:
+            raise InputError(f"kind {kind!r} uses the identity generators; m must equal d")
+    if m is None:
+        raise InputError("generator count m is required for random-zonotope")
+    if not (1 <= n <= d <= m):
+        raise InputError(f"need n, d and m at least 1 with n <= d <= m, got n={n} d={d} m={m}")
+    if kind == "duplicated" and n % 2 != 0:
+        raise InputError("duplicated instances need an even vector count")
+    return m
+
+
 def generate_instance(kind: str, d: int, m: int | None, n: int, rng) -> InstanceFile:
-    """Built-in instance families.
+    """Built-in instance families; `check_kind` states their rules.
 
     cube: identity generators, the first n coordinate vectors.
     spencer-random: identity generators, vectors uniform in the cube.
@@ -130,24 +152,12 @@ def generate_instance(kind: str, d: int, m: int | None, n: int, rng) -> Instance
     duplicated: identity generators, consecutive equal pairs of uniform
         cube vectors, so the optimal discrepancy is exactly zero.
     """
-    if kind not in KINDS:
-        raise InputError(f"unknown instance kind {kind!r}; choose from {KINDS}")
-    if kind in ("cube", "spencer-random", "duplicated"):
-        m = d if m is None else m
-        if m != d:
-            raise InputError(f"kind {kind!r} uses the identity generators; m must equal d")
-    if m is None:
-        raise InputError("generator count m is required for random-zonotope")
-    if not (1 <= n <= d <= m):
-        raise InputError(f"need 1 <= n <= d <= m, got n={n} d={d} m={m}")
-
+    m = check_kind(kind, d, m, n)
     if kind == "cube":
         return InstanceFile(A=np.eye(d), V=np.eye(d)[:n].copy())
     if kind == "spencer-random":
         return InstanceFile(A=np.eye(d), V=rng.uniform(-1.0, 1.0, (n, d)))
     if kind == "duplicated":
-        if n % 2 != 0:
-            raise InputError("duplicated instances need an even vector count")
         base = rng.uniform(-1.0, 1.0, (n // 2, d))
         return InstanceFile(A=np.eye(d), V=np.repeat(base, 2, axis=0))
     # random-zonotope

@@ -57,22 +57,18 @@ def _lewis_step(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, c
 
 
-def lewis_position(Z: Zonotope | np.ndarray) -> LewisPosition:
-    """Run the fixed-point iteration and assemble the Lewis position.
+def lewis_position(Z: Zonotope) -> LewisPosition:
+    """Run the fixed-point iteration and assemble the Lewis position of
+    Z's generators.
 
     Convergence within MAX_ITER_LEWIS iterations requires both a max
     relative weight change below TOL_LEWIS * 1e-2 and an isotropy
     residual below TOL_LEWIS; the step at the converged weights gives
     the position, and NumericalError carries the last relative change
-    otherwise.  A rank-deficient A, or fewer rows than columns, raises
-    NumericalError; an array that is not 2-D, has no rows or columns, or
-    holds NaN or infinity raises InputError.
+    otherwise, as does a step whose factor is singular to working
+    precision.
     """
-    A = Z.A if isinstance(Z, Zonotope) else np.asarray(Z, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise InputError(f"generator matrix must be 2-D with rows and columns, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InputError("generator matrix contains NaN or infinity")
+    A = Z.A
     m, d = A.shape
     w = np.full(m, d / m)
     X, c = _lewis_step(A, w)

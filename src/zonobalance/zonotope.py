@@ -44,6 +44,17 @@ class Zonotope:
             raise InputError("generator matrix is rank deficient; run preprocess() first")
         A.setflags(write=False)
         self.A = A
+        # The power of two nearest the longest generator, measured on A
+        # scaled to max|A| in [1, 2) so that no square overflows.  The
+        # gauge runs on A scaled by it, so its tolerances do not see the
+        # body's size.  Unit-length generators, as every built-in kind
+        # has, run unscaled: scaling max|A| into [1, 2) instead cost
+        # their gauge LPs up to 2.4 times the pivots.
+        top = math.frexp(float(np.abs(A).max()))[1] - 1
+        A_top = np.ldexp(A, -top)
+        longest = math.sqrt(float(np.einsum("ij,ij->i", A_top, A_top).max()))
+        self._exp = top + round(math.log2(longest))
+        self._unit_A = A if self._exp == 0 else np.ldexp(A, -self._exp)
 
     @property
     def m(self) -> int:
@@ -97,9 +108,12 @@ def zonotope_norm(Z: Zonotope, x) -> float:
     preimage's u_i, which span the same body, so that start is the side
     of that preimage: a guess at the optimal side (the sign of <a_i, y*>
     for the dual optimum y*) that saves pivots.  Both branches see x
-    scaled by the power of two that puts max|x| in [1, 2), so the gauge
-    is exactly homogeneous under such scalings.  NaN or infinite entries
-    raise InputError, and a gauge past the float range NumericalError.
+    scaled by the power of two that puts max|x| in [1, 2), and A by the
+    power of two nearest its longest generator, so the gauge is exactly
+    homogeneous under power-of-two scalings of either.  A Zonotope spans
+    R^d, so every x has a gauge: an LP that is not optimal or finds no
+    lambda above 1e-14 raises NumericalError, and so does a gauge past
+    the float range.  NaN or infinite entries raise InputError.
     """
     x = np.asarray(x, dtype=float)
     m, d = Z.m, Z.d
@@ -115,18 +129,19 @@ def zonotope_norm(Z: Zonotope, x) -> float:
     # absolute tolerances see max|x| in [1, 2), a power-of-two scaling.
     e = math.frexp(top)[1] - 1
     x = np.ldexp(-x if x[np.flatnonzero(x)[0]] < 0.0 else x, -e)
+    A = Z._unit_A
     if m == d:
-        u = np.linalg.solve(Z.A.T, x)
+        u = np.linalg.solve(A.T, x)
         value = float(np.max(np.abs(u)))
-        resid = float(np.max(np.abs(Z.A.T @ u - x)))
+        resid = float(np.max(np.abs(A.T @ u - x)))
         # The LP's feasibility check, applied to the point u / value.
         if not (np.isfinite(value) and resid <= 100 * TOL_FEAS * value):
             raise NumericalError("closed-form preimage failed the residual check",
                                  residual=resid)
     else:
-        u_ls = np.linalg.lstsq(Z.A.T, x, rcond=None)[0]
+        u_ls = np.linalg.lstsq(A.T, x, rcond=None)[0]
         s = np.where(u_ls > 0.0, -1.0, 1.0)
-        E = np.hstack([(Z.A * s[:, None]).T, -x[:, None]])
+        E = np.hstack([(A * s[:, None]).T, -x[:, None]])
         P = Polyhedron(
             m + 1, E, np.zeros(d),
             np.concatenate([-np.ones(m), [0.0]]),
@@ -136,10 +151,10 @@ def zonotope_norm(Z: Zonotope, x) -> float:
         c[m] = 1.0
         sol = lp_solve(-c, P)  # max lambda
         if sol.status != "optimal" or -sol.objective <= 1e-14:
-            raise SpanError("x does not lie in the span of the generators")
+            raise NumericalError(f"gauge LP ended {sol.status} with lambda {-sol.objective:.3e}")
         value = 1.0 / -sol.objective
     try:
-        return math.ldexp(value, e)
+        return math.ldexp(value, e - Z._exp)
     except OverflowError:
         raise NumericalError("the gauge overflows the float range")
 
@@ -170,19 +185,27 @@ class BasisChange:
     def rows_to_reduced(self, X) -> np.ndarray:
         """Reduced coordinates X Q of the rows of X; raises InputError
         naming the first row with a NaN or infinite entry, and SpanError
-        the first row whose residual off the span exceeds TOL_SPAN."""
+        the first row x whose residual off the span exceeds
+        TOL_SPAN * (1 + |x|).  Each row is scaled by the power of two
+        that puts its largest entry in [1, 2), and the threshold with it,
+        so the rule sees no overflowing or underflowing square."""
         X = np.asarray(X, dtype=float)
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise InputError(f"vector {int(bad[0])} contains NaN or infinity")
-        X_red = X @ self.Q
-        resid = np.linalg.norm(X - X_red @ self.Q.T, axis=1)
-        outside = np.flatnonzero(resid > TOL_SPAN * (1.0 + np.linalg.norm(X, axis=1)))
+        e = np.frexp(np.abs(X).max(axis=1))[1] - 1
+        X_unit = np.ldexp(X, -e[:, None])
+        X_red = X_unit @ self.Q
+        resid = np.linalg.norm(X_unit - X_red @ self.Q.T, axis=1)
+        norm = np.linalg.norm(X_unit, axis=1)
+        with np.errstate(over="ignore"):  # inf below 2^-1023: no residual passes
+            one = np.ldexp(1.0, -e)
+        outside = np.flatnonzero(resid > TOL_SPAN * (one + norm))
         if outside.size:
             i = int(outside[0])
             raise SpanError(f"vector {i} lies outside the span of the generators "
-                            f"(residual {resid[i]:.3e})")
-        return X_red
+                            f"(residual {resid[i] / norm[i]:.3e} of its norm)")
+        return np.ldexp(X_red, e[:, None])
 
 
 def reduce_generators(A_raw) -> tuple[Zonotope, BasisChange]:
@@ -227,24 +250,15 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
 
     Returns (Zonotope, VectorFamily, BasisChange).
     """
-    A = np.array(A_raw, dtype=float)
-    V = np.array(V_raw, dtype=float)
-    if A.ndim != 2 or V.ndim != 2:
-        raise InputError("A and V must be matrices")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(V))):
-        raise InputError("instance contains NaN or infinity")
-    if V.shape[1] != A.shape[1]:
+    Z, change = reduce_generators(A_raw)
+    V = np.array(VectorFamily(V_raw).V)  # writable, for the rescale
+    if V.shape[1] != change.original_d:
         raise InputError("A and V must share the ambient dimension")
-    if V.shape[0] < 1:
-        raise InputError("need at least one vector")
     U = None
     if U_raw is not None:
         U = np.array(U_raw, dtype=float)
-        if U.shape != (V.shape[0], A.shape[0]):
+        if U.shape != (V.shape[0], Z.m + len(change.dropped_generators)):
             raise InputError("U must be n x m")
-
-    Z, change = reduce_generators(A)
-    if U is not None:
         U = np.delete(U, change.dropped_generators, axis=1)
     if change.reduced_d < change.original_d:
         V = change.rows_to_reduced(V)

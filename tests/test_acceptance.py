@@ -20,7 +20,7 @@ from zonobalance.verify import (
     polar_identity_check,
     width_estimate,
 )
-from zonobalance.zonotope import preprocess, zonotope_norm
+from zonobalance.zonotope import Zonotope, preprocess, zonotope_norm
 
 KINDS = ["cube", "spencer-random", "random-zonotope"]
 D_LIST = [8, 16, 32, 64]
@@ -134,7 +134,7 @@ def test_criterion_6_lewis_position():
         d = int(rng.integers(2, 21))
         m = int(rng.integers(d, 101))
         A = rng.standard_normal((m, d))
-        LP = lewis_position(A)
+        LP = lewis_position(Zonotope(A))
         worst_resid = max(worst_resid, LP.residual)
         worst_sum = max(worst_sum, abs(LP.w.sum() - d))
         assert LP.iterations <= 200
@@ -167,14 +167,14 @@ def test_criterion_7_polar_identity():
 
 def test_criterion_8_width_probe():
     # one-dimensional closed form
-    LP1 = lewis_position(np.array([[2.0], [1.0]]))
+    LP1 = lewis_position(Zonotope([[2.0], [1.0]]))
     est1 = width_estimate(LP1, 600, np.random.default_rng(81))
     target = math.sqrt(2.0 / math.pi)
     assert abs(est1.mean - target) <= 3.0 * est1.stderr
 
     # cross-polytope versus an independent direct Monte-Carlo
     d = 8
-    est2 = width_estimate(lewis_position(np.eye(d)), 500,
+    est2 = width_estimate(lewis_position(Zonotope(np.eye(d))), 500,
                           np.random.default_rng(82))
     g = np.random.default_rng(83).standard_normal((400000, d))
     direct = float(np.abs(g).max(axis=1).mean())
@@ -187,7 +187,7 @@ def test_criterion_8_width_probe():
         A = rng.choice([-1.0, 1.0], size=(2 * d, d))
         while np.linalg.matrix_rank(A) < d:
             A = rng.choice([-1.0, 1.0], size=(2 * d, d))
-        est = width_estimate(lewis_position(A), 200, rng)
+        est = width_estimate(lewis_position(Zonotope(A)), 200, rng)
         ratios[d] = est.mean / math.sqrt(math.log2(1.0 + d))
     window = max(ratios.values()) / min(ratios.values())
     assert window <= 4.0, f"width ratios {ratios}"

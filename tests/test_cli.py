@@ -186,9 +186,11 @@ class TestExitCodes:
         ("--d-list", ","),
         ("--m-factor", "0"),
         ("--d-list", "8,16,32,64,0"),
+        ("--kinds", "duplicated", "--d-list", "4,6,3"),
     ])
     def test_bench_seeds_below_one_exits_one(self, capsys, monkeypatch, flags):
-        # An empty sweep (no seed, kind or dimension) or an empty body is an
+        # An empty sweep (no seed, kind or dimension), an empty body or a
+        # spec its kind does not allow (an odd n for duplicated) is an
         # input error, refused before the first spec runs.
         real, executed = cli.execute_spec, []
 
@@ -200,7 +202,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "bench", *flags)
         assert code == 1
         assert out == ""
-        assert "at least 1" in err
+        assert ("even vector count" if "duplicated" in flags else "at least 1") in err
         assert executed == []
 
     def test_balance_oracle_above_its_cap_balances_nothing(self, capsys, monkeypatch, tmp_path):
@@ -238,6 +240,38 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "norm", "-", "--x", "0 0 1")
         assert code == 1
         assert "outside the span" in err
+
+    def test_norm_far_outside_generator_span_exits_one(self, capsys, monkeypatch):
+        # The span test scales the row, so squaring 1e300 cannot overflow
+        # and carry x past it.
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 2 1\n1 0 0\n0 1 0\n1 0 0\n"))
+        code, out, err = run_cli(capsys, "norm", "-", "--x", "1e300 0 1e300")
+        assert code == 1
+        assert out == ""
+        assert "outside the span" in err
+
+    @pytest.mark.parametrize("out", ["nodir/x.txt", "."])
+    def test_unusable_out_refused_before_work(self, cube4, tmp_path, out):
+        # A missing directory or a directory path is refused before the
+        # balancing, with a message and no traceback.
+        res = run_python("-m", "zonobalance", "balance", cube4, "--out", str(tmp_path / out))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: --out ")
+
+    def test_write_failure_is_an_input_error(self, capsys, monkeypatch, cube4, tmp_path):
+        real_open = open
+
+        def failing_open(path, mode="r", **kwargs):
+            if "w" in mode:
+                raise PermissionError(13, "Permission denied", path)
+            return real_open(path, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        code, _, err = run_cli(capsys, "balance", cube4, "--out", str(tmp_path / "x.txt"))
+        assert code == 1
+        assert "cannot write --out" in err and "Permission denied" in err
 
     def test_exact_finish_scale_is_capped(self, capsys, cube4):
         # Covering this increment from c0 = 1e-12 takes 39 doublings,
@@ -423,10 +457,11 @@ SRC = str(Path(zonobalance.__file__).resolve().parents[1])
 
 def run_python(*args, stdin=None, **env):
     """Run this interpreter in a fresh process with the package's source first
-    on PYTHONPATH.  `env` entries override the inherited environment; a None
-    value removes the variable."""
+    on PYTHONPATH and warnings as errors, as in-process tests run.  `env`
+    entries override the inherited environment; a None value removes the
+    variable."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    full = dict(os.environ, PYTHONPATH=path, **env)
+    full = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error", **env)
     return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True,
                           env={k: v for k, v in full.items() if v is not None}, timeout=120)
 

@@ -11,7 +11,8 @@ from zonobalance.cli import bench_specs, execute_spec, main
 from zonobalance.coloring import balance, partial_coloring, round_scale
 from zonobalance.convex import lp_solve
 from zonobalance.errors import InputError, NumericalError
-from zonobalance.zonotope import VectorFamily, Zonotope, zonotope_norm
+from zonobalance.instancefile import generate_instance
+from zonobalance.zonotope import VectorFamily, Zonotope, preprocess, zonotope_norm
 
 
 def spencer_instance(d, seed):
@@ -311,15 +312,19 @@ class TestBalance:
     def test_joint_scale_invariance(self):
         # Scaling generators and vectors together leaves the coordinate
         # body unchanged: same signs, same reported discrepancy, and the
-        # signed sum measured in the original gauge scales by lambda.
-        Z, V = spencer_instance(8, seed=6)
-        lam = 2.0
-        rep = balance(Z, V, seed=11)
-        rep2 = balance(Zonotope(lam * Z.A), VectorFamily(lam * V.V), seed=11)
-        assert np.array_equal(rep.signs, rep2.signs)
-        assert rep2.discrepancy == pytest.approx(rep.discrepancy, rel=1e-8)
-        in_original_gauge = zonotope_norm(Z, (lam * V.V).T @ rep2.signs)
-        assert in_original_gauge == pytest.approx(lam * rep.discrepancy, rel=1e-8)
+        # signed sum measured in the original gauge scales by lambda.  The
+        # random-zonotope body (m = 4d) runs the gauge LP, which sees the
+        # generators at their own scale whatever lambda is.
+        inst = generate_instance("random-zonotope", 8, 32, 8, np.random.default_rng(1))
+        rz = preprocess(inst.A, inst.V, inst.U)[:2]
+        for (Z, V), lam, rel in ((spencer_instance(8, seed=6), 2.0, 1e-8),
+                                 (rz, 1e-8, 1e-12), (rz, 1e8, 1e-12)):
+            rep = balance(Z, V, seed=11)
+            rep2 = balance(Zonotope(lam * Z.A), VectorFamily(lam * V.V), seed=11)
+            assert np.array_equal(rep.signs, rep2.signs)
+            assert rep2.discrepancy == pytest.approx(rep.discrepancy, rel=rel)
+            in_original_gauge = zonotope_norm(Z, (lam * V.V).T @ rep2.signs)
+            assert in_original_gauge == pytest.approx(lam * rep.discrepancy, rel=rel)
 
     def test_rejects_unpreprocessed_wide_family(self):
         Z = Zonotope(np.eye(2))

@@ -13,22 +13,23 @@ from zonobalance.lewis import (
     k1_norm,
     lewis_position,
 )
+from zonobalance.zonotope import Zonotope
 
 
 class TestWeights:
     def test_identity_fixed_point(self):
-        assert np.allclose(lewis_position(np.eye(5)).w, np.ones(5), atol=1e-12)
+        assert np.allclose(lewis_position(Zonotope(np.eye(5))).w, np.ones(5), atol=1e-12)
 
     def test_scalar_duplicated_row(self):
         # d=1, m=2, both rows (1): the fixed point solves w = sqrt(w/2),
         # hence w = 1/2 for both rows.
-        w = lewis_position(np.array([[1.0], [1.0]])).w
+        w = lewis_position(Zonotope([[1.0], [1.0]])).w
         assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((20, 5))
-        w = lewis_position(A).w
+        w = lewis_position(Zonotope(A)).w
         assert w.sum() == pytest.approx(5.0, abs=1e-6)
         assert np.all(w > 0)
 
@@ -40,7 +41,7 @@ class TestWeights:
             # that lewis_position runs.
             w = np.full(30, 6 / 30)  # lewis_position's start, d / m
             history = []
-            for _ in range(lewis_position(A).iterations):
+            for _ in range(lewis_position(Zonotope(A)).iterations):
                 w_new = lewis._lewis_step(A, w)[1]
                 history.append(float(np.max(np.abs(w_new - w) / w)))
                 w = w_new
@@ -52,12 +53,12 @@ class TestWeights:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((12, 4))
         with pytest.raises(NumericalError):
-            lewis_position(A)
+            lewis_position(Zonotope(A))
 
 
 class TestTransform:
     def test_identity(self):
-        LP = lewis_position(np.eye(4))
+        LP = lewis_position(Zonotope(np.eye(4)))
         assert np.allclose(LP.c, np.ones(4))
         assert np.allclose(LP.U_dirs, np.eye(4))
         assert LP.residual == pytest.approx(0.0, abs=1e-12)
@@ -67,7 +68,7 @@ class TestTransform:
         # T^{-1} a_i = 1/2 gives c_i = 1/2 with unit directions (1); the
         # sign rule keeps them (1), not (-1).
         A = np.array([[1.0], [1.0]])
-        LP = lewis_position(A)
+        LP = lewis_position(Zonotope(A))
         assert np.allclose(LP.c, [0.5, 0.5], atol=1e-10)
         assert np.allclose(LP.U_dirs, [[1.0], [1.0]])
 
@@ -75,7 +76,7 @@ class TestTransform:
         rng = np.random.default_rng(3)
         for _ in range(5):
             A = rng.standard_normal((24, 6))
-            LP = lewis_position(A)
+            LP = lewis_position(Zonotope(A))
             assert LP.residual <= TOL_LEWIS
             assert np.allclose(np.linalg.norm(LP.U_dirs, axis=1), 1.0, atol=1e-10)
             assert LP.c.sum() == pytest.approx(6.0, abs=1e-6)
@@ -87,17 +88,17 @@ class TestTransform:
 
 class TestK1Norm:
     def test_identity_axis(self):
-        LP = lewis_position(np.eye(4))
+        LP = lewis_position(Zonotope(np.eye(4)))
         assert k1_norm(LP, np.eye(4)[0]) == pytest.approx(1.0)
 
     def test_zero(self):
-        LP = lewis_position(np.eye(3))
+        LP = lewis_position(Zonotope(np.eye(3)))
         assert k1_norm(LP, np.zeros(3)) == 0.0
 
     def test_gauge_sandwich(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((32, 8))
-        LP = lewis_position(A)
+        LP = lewis_position(Zonotope(A))
         for _ in range(1000):
             x = rng.standard_normal(8)
             val = k1_norm(LP, x)
@@ -110,13 +111,13 @@ class TestInclusions:
     def test_cube_polar(self):
         # Generators I_d: the normalized polar body is the l1 ball, whose
         # gauge on unit vectors ranges over [1, sqrt(d)].
-        LP = lewis_position(np.eye(4))
+        LP = lewis_position(Zonotope(np.eye(4)))
         rep = check_inclusions(LP, 500, np.random.default_rng(5))
         assert rep.passed
         assert rep.max_violation <= 1e-6
 
     def test_one_dimensional_tight(self):
-        LP = lewis_position(np.array([[2.0], [-1.0], [0.5]]))
+        LP = lewis_position(Zonotope([[2.0], [-1.0], [0.5]]))
         rep = check_inclusions(LP, 100, np.random.default_rng(6))
         assert rep.passed
         assert rep.max_violation == pytest.approx(0.0, abs=1e-9)
@@ -124,7 +125,7 @@ class TestInclusions:
     def test_random_instance(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((32, 8))
-        rep = check_inclusions(lewis_position(A), 1000, rng)
+        rep = check_inclusions(lewis_position(Zonotope(A)), 1000, rng)
         assert rep.passed, f"violation {rep.max_violation} at {rep.worst_direction}"
 
     def test_broken_position_fails_with_direction(self):
@@ -132,7 +133,7 @@ class TestInclusions:
         # so the report must fail and name an offending direction.
         from zonobalance.lewis import LewisPosition
 
-        good = lewis_position(np.eye(3))
+        good = lewis_position(Zonotope(np.eye(3)))
         bad = LewisPosition(w=good.w, c=0.5 * good.c,
                             U_dirs=good.U_dirs, residual=good.residual,
                             iterations=good.iterations)
@@ -144,7 +145,7 @@ class TestInclusions:
 
     def test_samples_below_one_rejected(self):
         with pytest.raises(InputError, match="at least 1"):
-            check_inclusions(lewis_position(np.eye(2)), 0, np.random.default_rng(9))
+            check_inclusions(lewis_position(Zonotope(np.eye(2))), 0, np.random.default_rng(9))
 
 
 def spectral_reference(A):
@@ -195,7 +196,7 @@ class TestAgainstSpectralReference:
         count = 0
         for A in reference_bodies():
             w, c, U, iterations = spectral_reference(A)
-            LP = lewis_position(A)
+            LP = lewis_position(Zonotope(A))
             assert LP.iterations == iterations
             np.testing.assert_allclose(LP.w, w, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(LP.c, c, rtol=0.0, atol=1e-10)
@@ -207,7 +208,8 @@ class TestAgainstSpectralReference:
 
     def test_rank_deficient_raises(self):
         # A duplicated column, a rank-3 product, fewer rows than columns,
-        # and a zero row, which leaves a zero direction.
+        # and a zero row, which leaves a zero direction.  No Zonotope holds
+        # such generators, so only the step itself can meet them.
         rng = np.random.default_rng(12)
         B = rng.standard_normal((12, 3))
         for A, message in ((np.hstack([B, B[:, :1]]), "not positive definite"),
@@ -215,20 +217,21 @@ class TestAgainstSpectralReference:
                             "not positive definite"),
                            (rng.standard_normal((3, 5)), "not positive definite"),
                            (np.vstack([np.eye(3), np.zeros((1, 3))]), "zero direction")):
-            with pytest.raises(NumericalError, match=message):
-                lewis_position(A)
+            with pytest.raises(InputError):
+                Zonotope(A)
             with pytest.raises(NumericalError, match=message):
                 lewis._lewis_step(A, np.ones(A.shape[0]))
 
     @pytest.mark.parametrize("A, message", [
-        (np.ones(3), "2-D"),
-        (np.zeros((0, 2)), "2-D"),
+        (np.ones(3), "two-dimensional"),
+        (np.zeros((0, 2)), "m >= d >= 1"),
         (np.array([[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]]), "NaN or infinity"),
         (np.array([[1.0, 0.0], [0.0, np.inf], [1.0, 1.0]]), "NaN or infinity"),
     ], ids=["one-dimensional", "no-rows", "nan", "inf"])
     def test_malformed_array_is_an_input_error(self, A, message):
+        # lewis_position takes a Zonotope, whose constructor refuses these.
         with pytest.raises(InputError, match=message):
-            lewis_position(A)
+            lewis_position(Zonotope(A))
 
 
 def row_scaled(rng, m, d, spread):
@@ -252,8 +255,8 @@ class TestIllConditioned:
                 U = np.linalg.qr(rng.standard_normal((d, d)))[0]
                 V = np.linalg.qr(rng.standard_normal((d, d)))[0]
                 G = (U * np.logspace(0, 6, d)) @ V.T
-                w = lewis_position(A).w
-                np.testing.assert_allclose(lewis_position(A @ G).w, w, rtol=1e-9, atol=0.0)
+                w = lewis_position(Zonotope(A)).w
+                np.testing.assert_allclose(lewis_position(Zonotope(A @ G)).w, w, rtol=1e-9, atol=0.0)
                 count += 1
         assert count == 30
 
@@ -262,12 +265,13 @@ class TestIllConditioned:
         rng = np.random.default_rng(14)
         for d in (4, 8, 12, 16, 20, 24, 28, 32):
             for spread in (100.0, 1000.0):
-                LP = lewis_position(row_scaled(rng, d, d, spread))
+                LP = lewis_position(Zonotope(row_scaled(rng, d, d, spread)))
                 np.testing.assert_allclose(LP.w, 1.0, rtol=0.0, atol=1e-12)
                 assert LP.residual <= TOL_LEWIS
 
     def test_box_with_far_apart_sides(self):
-        # Generators that differ in length by 1e16 are still independent.
-        LP = lewis_position(np.diag([1e-8, 1.0, 1e8]))
+        # Generators that differ in length by 1e14 are still independent;
+        # at 1e16 the Zonotope's rank test would refuse them.
+        LP = lewis_position(Zonotope(np.diag([1e-7, 1.0, 1e7])))
         np.testing.assert_allclose(LP.w, 1.0, rtol=0.0, atol=1e-12)
         assert LP.residual <= TOL_LEWIS

@@ -209,14 +209,14 @@ class TestPolarIdentity:
 
 class TestWidth:
     def test_one_dimensional_closed_form(self):
-        LP = lewis_position(np.array([[3.0], [1.0]]))
+        LP = lewis_position(Zonotope([[3.0], [1.0]]))
         est = width_estimate(LP, 500, np.random.default_rng(5))
         target = math.sqrt(2.0 / math.pi)
         assert abs(est.mean - target) <= 3.0 * est.stderr
 
     def test_cross_polytope_against_direct_mc(self):
         d = 6
-        est = width_estimate(lewis_position(np.eye(d)), 400,
+        est = width_estimate(lewis_position(Zonotope(np.eye(d))), 400,
                              np.random.default_rng(6))
         g = np.random.default_rng(7).standard_normal((200000, d))
         direct = float(np.abs(g).max(axis=1).mean())
@@ -229,7 +229,7 @@ class TestWidth:
         # probe fixed axis directions.
         rng = np.random.default_rng(8)
         A = rng.standard_normal((16, 4))
-        LP = lewis_position(A)
+        LP = lewis_position(Zonotope(A))
         est = width_estimate(LP, 300, np.random.default_rng(9))
         radius_lb = max(
             width_estimate(LP, 2, _FixedRng([np.eye(4)[i]])).mean for i in range(4)
@@ -238,7 +238,7 @@ class TestWidth:
         assert est.mean >= math.sqrt(2.0 / math.pi) * radius_lb - 3.0 * est.stderr
 
     def test_stderr_definition(self):
-        LP = lewis_position(np.eye(2))
+        LP = lewis_position(Zonotope(np.eye(2)))
         est = width_estimate(LP, 50, np.random.default_rng(10))
         assert est.samples == 50
         assert est.stderr > 0

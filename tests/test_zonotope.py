@@ -203,6 +203,42 @@ class TestSquareClosedForm:
         assert built == []
 
 
+def gaussian_bodies():
+    """40 Gaussian bodies with d = 4..16 and m = 2d..2d+6."""
+    rng = np.random.default_rng(21)
+    for i in range(40):
+        d = 4 + i % 13
+        yield rng.standard_normal((2 * d + i % 7, d))
+
+
+class TestGeneratorScale:
+    """The gauge sees A scaled by the power of two that puts max|A| in
+    [1, 2), so the LP's absolute tolerances do not see the body's size."""
+
+    def test_gaussian_bodies_at_far_scales(self):
+        rng = np.random.default_rng(22)
+        count = 0
+        for A in gaussian_bodies():
+            xs = rng.standard_normal((3, A.shape[1]))
+            values = [zonotope_norm(Zonotope(A), x) for x in xs]
+            for k in (-40, -20, 20, 40):
+                scaled = Zonotope(np.ldexp(A, k))
+                assert [zonotope_norm(scaled, x) for x in xs] == [np.ldexp(v, -k) for v in values]
+            for s in (1e-12, 1e12):
+                scaled = Zonotope(s * A)
+                for x, value in zip(xs, values):
+                    assert zonotope_norm(scaled, x) == pytest.approx(value / s, rel=1e-12, abs=0.0)
+            count += 1
+        assert count == 40
+
+    def test_square_body_at_far_scales(self):
+        rng = np.random.default_rng(23)
+        A, x = rng.standard_normal((4, 4)), rng.standard_normal(4)
+        value = float(np.max(np.abs(np.linalg.solve(A.T, x))))
+        for s in (1e-10, 1e10):
+            assert zonotope_norm(Zonotope(s * A), x) == pytest.approx(value / s, rel=1e-12, abs=0.0)
+
+
 class TestPolarNorm:
     def test_cube_is_l1(self):
         assert polar_norm(Zonotope(np.eye(2)), [1.0, 1.0]) == 2.0
