@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -152,12 +153,19 @@ def _cmd_gen(args) -> str:
     return serialize_instance(generate_instance(args.kind, args.d, args.m, args.n, rng))
 
 
+def _check_oracle_cap(n: int, flag: str):
+    """Refuse, before any balancing, `flag` asking for the oracle above its cap."""
+    if n > verify.ORACLE_CAP:
+        raise InputError(f"{flag} asks the oracle for n = {n}, above its cap of {verify.ORACLE_CAP}")
+
+
 def _cmd_balance(args) -> str:
     Z, V = _preprocessed(args.instance, args.rescale)
-    # The oracle goes first: above its cap it refuses before any balancing.
-    oracle = verify.brute_force_min_discrepancy(Z, V) if args.oracle else None
+    if args.oracle:
+        _check_oracle_cap(V.n, "--oracle")
     report = coloring.balance(Z, V, c0=args.c0, seed=args.seed,
                               exact_finish=args.exact_finish)
+    oracle = verify.brute_force_min_discrepancy(Z, V) if args.oracle else None
     kind = "stdin" if args.instance == "-" else args.instance
     if args.format == "csv":
         return verify.csv_header() + "\n" + verify.csv_row(
@@ -184,7 +192,13 @@ def _cmd_norm(args) -> str:
     if x.shape[0] != change.original_d:
         raise InputError(
             f"--x has dimension {x.shape[0]}, instance has {change.original_d}")
-    return repr(zonotope_norm(Z, change.rows_to_reduced(x[None, :])[0]))
+    # An exact power-of-two scaling into max|A|'s binade keeps every step in range.
+    e = math.frexp(float(np.abs(x).max()))[1] - math.frexp(float(np.abs(Z.A).max()))[1]
+    x_red = change.rows_to_reduced(np.ldexp(x, -e)[None, :])[0]
+    try:
+        return repr(math.ldexp(zonotope_norm(Z, x_red), e))
+    except OverflowError:
+        raise NumericalError("the gauge overflows the float range")
 
 
 def _cmd_lewis(args) -> str:
@@ -280,11 +294,9 @@ def _cmd_bench(args) -> str:
         verify.csv_header(),
     ]
     specs = bench_specs(kinds, d_list, args.seeds, args.master_seed, args.m_factor)
-    # Refuse before the first run, not after balancing the specs before it.
-    over = [spec.n for spec in specs if verify.ORACLE_CAP < spec.n <= args.oracle_upto]
-    if over:
-        raise InputError(f"--oracle-upto {args.oracle_upto} asks for the oracle at n = {over[0]}, "
-                         f"above its cap of {verify.ORACLE_CAP}")
+    for spec in specs:
+        if spec.n <= args.oracle_upto:
+            _check_oracle_cap(spec.n, f"--oracle-upto {args.oracle_upto}")
     for spec in specs:
         lines.append(execute_spec(spec, args.c0, args.oracle_upto)[0])
     return "\n".join(lines)

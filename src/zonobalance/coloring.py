@@ -96,11 +96,21 @@ def _enumeration_step(Z: Zonotope, V: VectorFamily, y: np.ndarray, c0: float,
                                        c_used=c, attempts=1, tight_gained=k)
 
 
+def _check_input(Z: Zonotope, V: VectorFamily, c0: float) -> None:
+    """The input rules that `balance` and `partial_coloring` check first."""
+    if V.d != Z.d:
+        raise InputError(f"vectors have dimension {V.d}, the body has {Z.d}")
+    if V.n > Z.d:
+        raise InputError(f"more active vectors ({V.n}) than the body's dimension ({Z.d})")
+    if not (c0 > 0.0 and math.isfinite(c0)):
+        raise InputError(f"c0 must be positive and finite, got {c0!r}")
+
+
 def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
                      *, rng) -> PartialColoringStep:
     """One partial-coloring round over the active coordinates.
 
-    `V` holds the active vectors only, at most d of them, and `y` their
+    `V` holds the active vectors only (see `_check_input`), and `y` their
     fractional values, all strictly inside (-1, 1).  Returns the new
     fractional point (at least half its entries exact signs), the
     measured movement norm, and the accepted scale.  The scale starts at
@@ -109,17 +119,12 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
     NumericalError (the final error counts these), when fewer than half
     the coordinates clamp, or when the movement exceeds the scale.
     """
-    if V.d != Z.d:
-        raise InputError(f"vectors have dimension {V.d}, the body has {Z.d}")
+    _check_input(Z, V, c0)
     y = np.asarray(y, dtype=float)
-    k = y.shape[0]
-    if k != V.n:
+    k = V.n
+    if y.shape != (k,):
         raise InputError("y must match the number of active vectors")
-    if k < 1:
-        raise InputError("nothing to color")
-    if k > Z.d:
-        raise InputError(f"more active vectors ({k}) than the body's dimension ({Z.d})")
-    if np.any(np.abs(y) >= 1.0):
+    if not np.all(np.abs(y) < 1.0):
         raise InputError("active coordinates must be strictly inside (-1, 1)")
 
     need = (k + 1) // 2
@@ -181,28 +186,20 @@ class BalanceReport:
     d: int
     m: int
 
-    @property
-    def increments(self) -> list[float]:
-        return [r.increment for r in self.log]
-
 
 def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
             seed: int = 0, exact_finish: bool = False) -> BalanceReport:
     """Balance the family to exact signs by iterated partial coloring.
 
+    `_check_input` states the rules of Z, V and c0, n <= d among them.
     Deterministic given (instance, seed, c0): the Gaussian stream is
     drawn from a fresh PCG64 generator seeded with `seed`.  Once at most
     FINISH_MAX coordinates are open (EXACT_FINISH_MAX with
     `exact_finish`), one last round tries every sign completion and keeps
     the one of least discrepancy.
     """
+    _check_input(Z, V, c0)
     n, d = V.n, Z.d
-    if V.d != d:
-        raise InputError(f"vectors have dimension {V.d}, the body has {d}")
-    if n > d:
-        raise InputError("instance must be preprocessed (requires n <= d)")
-    if not (c0 > 0.0 and math.isfinite(c0)):
-        raise InputError(f"c0 must be positive and finite, got {c0!r}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -232,7 +229,7 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
         c_final = max(c_final, step.c_used)
 
     discrepancy = zonotope_norm(Z, V.V.T @ y)
-    bound = math.sqrt(n * math.log2(2.0 * d / n))
+    bound = round_scale(n, d, 1.0)
     return BalanceReport(
         signs=y.astype(int), discrepancy=discrepancy, bound=bound,
         ratio=discrepancy / bound, rounds=len(log), seed=seed, c0=c0,

@@ -76,8 +76,8 @@ class Polyhedron:
             raise ValueError("bound vectors must have num_vars entries")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
-        if np.any(lower == np.inf) or np.any(upper == -np.inf):
-            raise ValueError("a lower bound of +inf or an upper bound of -inf admits no value")
+        if not (np.all(lower < np.inf) and np.all(upper > -np.inf)):
+            raise ValueError("a NaN bound, a +inf lower or a -inf upper bound admits no value")
         if not np.all(np.isfinite(E)):
             raise ValueError("E must be finite")
         for arr, name in ((E, "E"), (e, "e"), (lower, "lower"), (upper, "upper")):

@@ -124,8 +124,8 @@ def check_kind(kind: str, d: int, m: int | None, n: int) -> int:
     """The rules of an instance kind; returns the generator count m.
 
     The identity kinds (all but random-zonotope) take m = d, and
-    random-zonotope needs an m.  Every kind needs 1 <= n <= d <= m, and
-    duplicated an even n.  Violations raise InputError.
+    random-zonotope needs an m.  Every kind needs n, d >= 1 and d <= m,
+    cube n <= d, and duplicated an even n.  Violations raise InputError.
     """
     if kind not in KINDS:
         raise InputError(f"unknown instance kind {kind!r}; choose from {KINDS}")
@@ -135,8 +135,8 @@ def check_kind(kind: str, d: int, m: int | None, n: int) -> int:
             raise InputError(f"kind {kind!r} uses the identity generators; m must equal d")
     if m is None:
         raise InputError("generator count m is required for random-zonotope")
-    if not (1 <= n <= d <= m):
-        raise InputError(f"need n, d and m at least 1 with n <= d <= m, got n={n} d={d} m={m}")
+    if not (n >= 1 and 1 <= d <= m) or (kind == "cube" and n > d):
+        raise InputError(f"need n, d, m at least 1, d <= m, and n <= d for cube: n={n} d={d} m={m}")
     if kind == "duplicated" and n % 2 != 0:
         raise InputError("duplicated instances need an even vector count")
     return m
@@ -145,7 +145,7 @@ def check_kind(kind: str, d: int, m: int | None, n: int) -> int:
 def generate_instance(kind: str, d: int, m: int | None, n: int, rng) -> InstanceFile:
     """Built-in instance families; `check_kind` states their rules.
 
-    cube: identity generators, the first n coordinate vectors.
+    cube: identity generators, the first n <= d coordinate vectors.
     spencer-random: identity generators, vectors uniform in the cube.
     random-zonotope: sign-matrix generators rescaled to unit rows,
         vectors built from uniform cube preimages (stored in the file).

@@ -35,10 +35,6 @@ class LewisPosition:
     def d(self) -> int:
         return self.U_dirs.shape[1]
 
-    @property
-    def m(self) -> int:
-        return self.w.shape[0]
-
 
 def _lewis_step(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows x_i = T^{-1} a_i at weights w, from the thin QR of

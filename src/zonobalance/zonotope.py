@@ -246,7 +246,7 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
     its vector without an LP, any other vector is certified by its
     gauge.  The preimages are not kept.  Vectors outside the span are
     rejected; vectors outside the body are rejected unless `rescale`
-    pulls them back to the boundary.
+    pulls them back to the boundary.  Any number of vectors is kept.
 
     Returns (Zonotope, VectorFamily, BasisChange).
     """
@@ -262,12 +262,6 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
         U = np.delete(U, change.dropped_generators, axis=1)
     if change.reduced_d < change.original_d:
         V = change.rows_to_reduced(V)
-
-    if V.shape[0] > Z.d:
-        raise InputError(
-            f"more vectors ({V.shape[0]}) than the zonotope dimension ({Z.d}); "
-            "the n > d case is out of scope"
-        )
 
     for i in range(V.shape[0]):
         if U is not None and (

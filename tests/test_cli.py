@@ -15,7 +15,8 @@ import pytest
 import zonobalance
 from zonobalance import cli, coloring, verify
 from zonobalance.cli import main
-from zonobalance.instancefile import InstanceFile, generate_instance, serialize_instance
+from zonobalance.instancefile import (InstanceFile, generate_instance, parse_instance,
+                                      serialize_instance)
 from zonobalance.seeding import run_seed, splitmix64
 
 
@@ -219,7 +220,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "balance", str(path), "--oracle")
         assert code == 1
         assert out == ""
-        assert f"n <= {verify.ORACLE_CAP}, got n = 24" in err
+        assert "n = 24" in err and f"cap of {verify.ORACLE_CAP}" in err
         assert balanced == []
 
     def test_l1_ball_lp_failure_exits_two(self, capsys, monkeypatch, spencer6):
@@ -352,6 +353,22 @@ class TestSubcommands:
             assert code == 0, err
             assert float(out) == pytest.approx(scale * unit, rel=rel)
 
+    @pytest.mark.parametrize("generators, x, code, printed", [
+        # The reduced coordinates of x pass the float maximum, its gauge
+        # does not.
+        ("1 1 0\n1 -1 0", "1.7e308 1.7e308 0", 0, "1.7e+308\n"),
+        # Halved generators double the gauge past the float range.
+        ("0.5 0.5 0\n0.5 -0.5 0", "1.7e308 1.7e308 0", 2, ""),
+        ("0.5 0.5 0\n0.5 -0.5 0", "1e-310 0 0", 0, "1e-310\n"),
+    ], ids=["huge-reduced-coordinates", "gauge-past-the-range", "subnormal"])
+    def test_norm_on_a_reduced_span_at_the_float_limits(self, capsys, monkeypatch,
+                                                         generators, x, code, printed):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"3 2 1\n{generators}\n0 0 0\n"))
+        got, out, err = run_cli(capsys, "norm", "-", "--x", x)
+        assert (got, out) == (code, printed), err
+        if code == 2:
+            assert "overflows the float range" in err
+
     def test_lewis_and_width_on_row_scaled_body(self, capsys, tmp_path):
         # Rows scaled by up to 1000x either way make the weighted Gram
         # matrix too ill-conditioned for a Cholesky factor.
@@ -397,6 +414,40 @@ class TestSubcommands:
         code, out, err = run_cli(capsys, "norm", "-", "--x", x)
         assert code == 0, err
         assert float(out) == pytest.approx(gauge, abs=1e-9)
+
+    # Three vectors in the plane: only the coloring needs n <= d.
+    PLANE = "2 2 3\n1 0\n0 1\n0.5 0\n0 0.5\n0.3 0.3\n"
+
+    def test_oracle_and_check_take_more_vectors_than_dimensions(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.PLANE))
+        code, out, err = run_cli(capsys, "oracle", "-")
+        assert code == 0, err
+        assert "opt: 0.2\n" in out and "evaluations: 4" in out
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.PLANE))
+        code, out, err = run_cli(capsys, "check", "-", "--trials", "5")
+        assert code == 0, err
+
+    @pytest.mark.parametrize("flags", [(), ("--oracle",)])
+    def test_balance_refuses_more_vectors_than_dimensions(self, capsys, monkeypatch, flags):
+        called = []
+        monkeypatch.setattr(verify, "brute_force_min_discrepancy",
+                            lambda *a: called.append(a))
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.PLANE))
+        code, out, err = run_cli(capsys, "balance", "-", *flags)
+        assert code == 1
+        assert out == ""
+        assert "more active vectors (3) than the body's dimension (2)" in err
+        assert called == []
+
+    def test_gen_more_vectors_than_dimensions(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--kind", "spencer-random", "--d", "3", "--n", "4")
+        assert code == 0, err
+        inst = parse_instance(out)
+        assert inst.V.shape == (4, 3)
+        code, out, err = run_cli(capsys, "gen", "--kind", "cube", "--d", "3", "--n", "4")
+        assert code == 1
+        assert out == ""
+        assert "n <= d for cube" in err
 
 
 class TestBench:

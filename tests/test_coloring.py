@@ -284,7 +284,7 @@ class TestBalance:
             assert set(np.abs(rep.signs)) == {1}
             fresh = zonotope_norm(Z, V.V.T @ rep.signs)
             assert fresh == pytest.approx(rep.discrepancy, abs=1e-6)
-            assert rep.discrepancy <= sum(rep.increments) + 1e-6
+            assert rep.discrepancy <= sum(r.increment for r in rep.log) + 1e-6
 
     def test_halving_and_round_cap(self):
         Z, V = random_zonotope_instance(16, 48, 16, seed=9)
@@ -329,7 +329,7 @@ class TestBalance:
     def test_rejects_unpreprocessed_wide_family(self):
         Z = Zonotope(np.eye(2))
         V = VectorFamily(np.array([[0.1, 0.0], [0.0, 0.1], [0.1, 0.1]]))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="more active vectors \\(3\\)"):
             balance(Z, V)
 
     def test_negative_seed_rejected(self):
@@ -344,6 +344,26 @@ class TestBalance:
             V = VectorFamily(0.1 * np.eye(4)[np.arange(k) % 4])
             with pytest.raises(InputError, match=f"more active vectors \\({k}\\)"):
                 partial_coloring(Z, V, np.zeros(k), rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("c0, y, match", [
+        (0.0, [0.0, 0.0], "c0 must be positive"),
+        (-1.0, [0.0, 0.0], "c0 must be positive"),
+        (math.nan, [0.0, 0.0], "c0 must be positive"),
+        (math.inf, [0.0, 0.0], "c0 must be positive"),
+        (2.0, 0.0, "y must match"),
+        (2.0, [0.0, math.nan], "strictly inside"),
+    ])
+    def test_partial_coloring_refuses_bad_input_before_projecting(self, monkeypatch, c0, y,
+                                                                 match):
+        # Past the projection a bad c0 would spend every draw or raise a
+        # bare ValueError, and a scalar y an IndexError.
+        projected = []
+        monkeypatch.setattr(coloring, "project_polyhedron",
+                            lambda *a, **k: projected.append(a))
+        Z, V = Zonotope(np.eye(2)), VectorFamily(0.1 * np.eye(2))
+        with pytest.raises(InputError, match=match):
+            partial_coloring(Z, V, y, c0=c0, rng=np.random.default_rng(0))
+        assert projected == []
 
     def test_vector_dimension_must_match_body(self):
         Z, V = Zonotope(np.eye(4)), VectorFamily(0.1 * np.ones((3, 2)))

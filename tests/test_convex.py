@@ -175,6 +175,16 @@ class TestPolyhedron:
         with pytest.raises(ValueError, match="inf"):
             Polyhedron(2, [[1.0, 1.0]], [1.0], lower, upper)
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.nan]),
+    ])
+    def test_nan_bound_rejected(self, lower, upper):
+        # Accepted, such a polyhedron would let the LP report an optimum
+        # and the projection return NaN.
+        with pytest.raises(ValueError, match="NaN bound"):
+            Polyhedron(2, np.zeros((0, 2)), np.zeros(0), lower, upper)
+
     def test_contains_refuses_nan(self):
         with pytest.raises(ValueError, match="z must be finite"):
             segment().contains([np.nan, np.nan])

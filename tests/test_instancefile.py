@@ -112,6 +112,6 @@ class TestGenerators:
         with pytest.raises(InputError):
             generate_instance("random-zonotope", 3, 2, 1, rng)  # m < d
         with pytest.raises(InputError):
-            generate_instance("spencer-random", 3, None, 4, rng)  # n > d
+            generate_instance("cube", 3, None, 4, rng)  # cube has d coordinate vectors
         with pytest.raises(InputError):
             generate_instance("nonsense", 3, 3, 3, rng)

@@ -58,11 +58,9 @@ class TestNorm:
             value = zonotope_norm(Zonotope(A), [0.0, 0.0])
             assert type(value) is float and value == 0.0
 
-    def test_outside_span_error(self):
-        # 2 generators spanning a line inside the plane is rank deficient,
-        # so drive the span error through a tall thin instance instead.
+    def test_dimension_mismatch_error(self):
         Z = Zonotope(np.array([[1.0]]))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="x must have dimension 1"):
             zonotope_norm(Z, [1.0, 2.0])
 
     def test_homogeneity(self):
@@ -407,9 +405,13 @@ class TestPreprocess:
         preprocess(A, U @ A)
         assert len(norm_calls) == 2
 
-    def test_n_exceeding_dimension_rejected(self):
-        with pytest.raises(InputError):
-            preprocess(np.eye(2), np.array([[0.1, 0.0], [0.0, 0.1], [0.1, 0.1]]))
+    def test_n_exceeding_dimension_kept_and_balance_refuses(self):
+        # Preprocessing certifies any number of vectors; only the coloring
+        # needs n <= d.
+        Z, fam, _ = preprocess(np.eye(2), np.array([[0.1, 0.0], [0.0, 0.1], [0.1, 0.1]]))
+        assert fam.n == 3
+        with pytest.raises(InputError, match="more active vectors \\(3\\)"):
+            coloring.balance(Z, fam)
 
 
 def _norm_in_span(A_raw, x):
