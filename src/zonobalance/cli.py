@@ -192,11 +192,9 @@ def _cmd_norm(args) -> str:
     if x.shape[0] != change.original_d:
         raise InputError(
             f"--x has dimension {x.shape[0]}, instance has {change.original_d}")
-    # An exact power-of-two scaling into max|A|'s binade keeps every step in range.
-    e = math.frexp(float(np.abs(x).max()))[1] - math.frexp(float(np.abs(Z.A).max()))[1]
-    x_red = change.rows_to_reduced(np.ldexp(x, -e)[None, :])[0]
+    R, s = change.rows_to_reduced(x[None, :])
     try:
-        return repr(math.ldexp(zonotope_norm(Z, x_red), e))
+        return repr(math.ldexp(zonotope_norm(Z, R[0]), int(s[0])))
     except OverflowError:
         raise NumericalError("the gauge overflows the float range")
 

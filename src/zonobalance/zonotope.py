@@ -182,13 +182,13 @@ class BasisChange:
     def reduced_d(self) -> int:
         return self.Q.shape[1]
 
-    def rows_to_reduced(self, X) -> np.ndarray:
-        """Reduced coordinates X Q of the rows of X; raises InputError
-        naming the first row with a NaN or infinite entry, and SpanError
-        the first row x whose residual off the span exceeds
-        TOL_SPAN * (1 + |x|).  Each row is scaled by the power of two
-        that puts its largest entry in [1, 2), and the threshold with it,
-        so the rule sees no overflowing or underflowing square."""
+    def rows_to_reduced(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(R, s) with X Q = R * 2^s row by row, R = X Q and s = 0 unless
+        a row's largest coordinate leaves the normal float range.  Raises
+        InputError naming the first row with a NaN or infinite entry, and
+        SpanError the first row x off the span by over TOL_SPAN * (1 + |x|),
+        a rule run on x scaled by the power of two that puts max|x| in
+        [1, 2), and the threshold with it, so no square overflows."""
         X = np.asarray(X, dtype=float)
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
@@ -205,7 +205,9 @@ class BasisChange:
             i = int(outside[0])
             raise SpanError(f"vector {i} lies outside the span of the generators "
                             f"(residual {resid[i] / norm[i]:.3e} of its norm)")
-        return np.ldexp(X_red, e[:, None])
+        top = np.frexp(np.abs(X_red).max(axis=1))[1]
+        k = np.clip(e, -1021 - top, 1024 - top)  # max|R| normal, k = e where it can be
+        return np.ldexp(X_red, k[:, None]), e - k
 
 
 def reduce_generators(A_raw) -> tuple[Zonotope, BasisChange]:
@@ -260,8 +262,11 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
         if U.shape != (V.shape[0], Z.m + len(change.dropped_generators)):
             raise InputError("U must be n x m")
         U = np.delete(U, change.dropped_generators, axis=1)
+    R, s = V, np.zeros(V.shape[0], dtype=int)  # row i of V is R[i] * 2^s[i]
     if change.reduced_d < change.original_d:
-        V = change.rows_to_reduced(V)
+        R, s = change.rows_to_reduced(V)
+        with np.errstate(over="ignore"):  # a row past the float range reads inf
+            V = np.ldexp(R, s[:, None])
 
     for i in range(V.shape[0]):
         if U is not None and (
@@ -269,11 +274,12 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
             and np.linalg.norm(Z.A.T @ U[i] - V[i]) <= 1e-8
         ):
             continue
-        value = zonotope_norm(Z, V[i])
+        value_r = zonotope_norm(Z, R[i])
+        value = value_r * 2.0 ** int(s[i])  # exact, or inf past the float range
         if value <= 1.0 + TOL_FEAS:
             continue
         if not rescale:
             raise MembershipError(i, value)
-        V[i] /= value
+        V[i] = R[i] / value_r
 
     return Z, VectorFamily(V), change

@@ -251,6 +251,24 @@ class TestExitCodes:
         assert out == ""
         assert "outside the span" in err
 
+    def test_norm_off_span_on_a_small_body_exits_one(self, capsys, monkeypatch):
+        # The span rule runs at x's own scale, whatever the body's.
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 2 1\n1e-9 0 0\n0 1e-9 0\n0 0 0\n"))
+        code, out, err = run_cli(capsys, "norm", "-", "--x", "0 0 1")
+        assert code == 1
+        assert out == ""
+        assert "outside the span" in err
+
+    def test_norm_non_finite_x_refused_before_any_scaling(self):
+        # Under warnings as errors an overflow while scaling x would end
+        # in a traceback.
+        res = run_python("-m", "zonobalance", "norm", "-", "--x", "inf 1e308 0",
+                         stdin="3 3 1\n1 0 0\n0 1 0\n0 0 1\n0 0 0\n")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "NaN or infinity" in res.stderr
+        assert "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("out", ["nodir/x.txt", "."])
     def test_unusable_out_refused_before_work(self, cube4, tmp_path, out):
         # A missing directory or a directory path is refused before the
@@ -368,6 +386,14 @@ class TestSubcommands:
         assert (got, out) == (code, printed), err
         if code == 2:
             assert "overflows the float range" in err
+
+    def test_oracle_rescales_a_vector_with_huge_reduced_coordinates(self, capsys,
+                                                                     monkeypatch):
+        text = "3 2 1\n1 1 0\n1 -1 0\n1.7e308 1.7e308 0\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "oracle", "-", "--rescale")
+        assert code == 0, err
+        assert float(out.split("opt: ")[1].split()[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_lewis_and_width_on_row_scaled_body(self, capsys, tmp_path):
         # Rows scaled by up to 1000x either way make the weighted Gram

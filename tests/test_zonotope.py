@@ -337,7 +337,9 @@ class TestPreprocess:
         assert change.reduced_d == 2
         # independent check: norms before reduction == norms after,
         # using a fresh tall zonotope on the raw matrix for "before"
-        for x, x_red in zip(plane_points, change.rows_to_reduced(plane_points)):
+        R, s = change.rows_to_reduced(plane_points)
+        assert not s.any()
+        for x, x_red in zip(plane_points, R):
             before = _norm_in_span(A, x)
             after = zonotope_norm(Z, x_red)
             assert after == pytest.approx(before, abs=1e-8)
@@ -368,7 +370,8 @@ class TestPreprocess:
             expected = first_outside(V, change.Q)
             outcomes.add(expected)
             if expected is None:
-                assert np.array_equal(change.rows_to_reduced(V), V @ change.Q)
+                R, s = change.rows_to_reduced(V)
+                assert not s.any() and np.array_equal(R, V @ change.Q)
             else:
                 with pytest.raises(SpanError, match=f"vector {expected} "):
                     change.rows_to_reduced(V)
@@ -385,6 +388,21 @@ class TestPreprocess:
         assert not isinstance(exc.value, SpanError)
         with pytest.raises(InputError, match="NaN or infinity"):
             preprocess([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], X[1:])
+
+    def test_huge_reduced_coordinates_keep_their_gauge(self):
+        # x Q passes the float maximum, the gauge 1.7e308 does not, and
+        # the rescale pulls x back to the boundary.
+        A = [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]
+        V = [[1.7e308, 1.7e308, 0.0]]
+        with pytest.raises(MembershipError, match=r"norm 1\.7e\+308 > 1"):
+            preprocess(A, V)
+        Z, fam, _ = preprocess(A, V, rescale=True)
+        assert zonotope_norm(Z, fam.V[0]) == pytest.approx(1.0, abs=1e-12)
+        # Halved generators put the gauge itself past the float range.
+        with pytest.raises(MembershipError, match="norm inf > 1"):
+            preprocess(np.multiply(A, 0.5), V)
+        Z, fam, _ = preprocess(np.multiply(A, 0.5), V, rescale=True)
+        assert zonotope_norm(Z, fam.V[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_vector_outside_body_rejected_with_index(self):
         with pytest.raises(MembershipError) as exc:
