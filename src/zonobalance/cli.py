@@ -11,7 +11,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,8 +232,7 @@ def _cmd_width(args) -> str:
             f"samples: {est.samples}\nd: {est.d}")
 
 
-@dataclass(frozen=True)
-class BenchSpec:
+class BenchSpec(NamedTuple):
     """One run of a benchmark sweep; seeds derive from the run index so any
     single run can be reproduced in isolation."""
 

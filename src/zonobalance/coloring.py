@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ def _lift(Z: Zonotope, V_S: np.ndarray, a_lower, a_upper, s: float) -> Polyhedro
     return Polyhedron(k + m, E, np.zeros(Z.d), lower, upper)
 
 
-@dataclass(frozen=True)
-class PartialColoringStep:
+class PartialColoringStep(NamedTuple):
     y_new: np.ndarray
     increment: float
     scale_used: float
@@ -160,8 +159,7 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
                                        tight_gained=count)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     index: int
     n_active: int
     scale_used: float
@@ -171,8 +169,7 @@ class RoundRecord:
     increment: float
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     signs: np.ndarray
     discrepancy: float
     bound: float

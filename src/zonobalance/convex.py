@@ -7,11 +7,12 @@ bounded-variable primal simplex (Dantzig pricing that takes eligible free
 columns first, with a Bland's-rule fallback after a fixed pivot budget,
 so every solve is deterministic).  It starts from a lower-triangular
 crash basis, and a row gets an artificial column only when the crash
-leaves it open;
-the projection solver is a primal active-set method on the same
-representation, with one SVD per active set for both the step and the
-bound multipliers.  Problem sizes stay in the low thousands of
-variables, so dense linear algebra is adequate.
+leaves it open.  The projection solver is a primal active-set method on
+the same representation.  Each active set's step and bound multipliers
+come from two SVDs taken once: one of the free auxiliary columns, and a
+thin one of the free target columns outside their range.  Problem
+sizes stay in the low thousands of variables, so dense linear algebra
+is adequate.
 
 Every optimal LP point is checked against its bounds after the final
 refactorization, and priced again there: a variable still eligible to
@@ -27,7 +28,7 @@ that fails too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,28 +52,21 @@ def _as_vector(x, name: str, finite: bool = True) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
 class Polyhedron:
-    """A set {z : E z = e, lower <= z <= upper} with +-inf bounds allowed."""
+    """Immutable set {z : E z = e, lower <= z <= upper} with +-inf bounds allowed."""
 
-    num_vars: int
-    E: np.ndarray
-    e: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        E = np.atleast_2d(np.array(self.E, dtype=float))
+    def __init__(self, num_vars: int, E, e, lower, upper):
+        E = np.atleast_2d(np.array(E, dtype=float))
         if E.size == 0:
-            E = E.reshape(0, self.num_vars)
-        e = _as_vector(self.e, "e").copy()
-        lower = _as_vector(self.lower, "lower", finite=False).copy()
-        upper = _as_vector(self.upper, "upper", finite=False).copy()
-        if E.shape[1] != self.num_vars:
-            raise ValueError(f"E has {E.shape[1]} columns, expected {self.num_vars}")
+            E = E.reshape(0, num_vars)
+        e = _as_vector(e, "e").copy()
+        lower = _as_vector(lower, "lower", finite=False).copy()
+        upper = _as_vector(upper, "upper", finite=False).copy()
+        if E.shape[1] != num_vars:
+            raise ValueError(f"E has {E.shape[1]} columns, expected {num_vars}")
         if e.shape[0] != E.shape[0]:
             raise ValueError("e length does not match the number of rows of E")
-        if lower.shape[0] != self.num_vars or upper.shape[0] != self.num_vars:
+        if lower.shape[0] != num_vars or upper.shape[0] != num_vars:
             raise ValueError("bound vectors must have num_vars entries")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
@@ -80,9 +74,10 @@ class Polyhedron:
             raise ValueError("a NaN bound, a +inf lower or a -inf upper bound admits no value")
         if not np.all(np.isfinite(E)):
             raise ValueError("E must be finite")
-        for arr, name in ((E, "E"), (e, "e"), (lower, "lower"), (upper, "upper")):
+        for arr in (E, e, lower, upper):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.num_vars = num_vars
+        self.E, self.e, self.lower, self.upper = E, e, lower, upper
 
     @property
     def num_eq(self) -> int:
@@ -101,8 +96,7 @@ class Polyhedron:
         return True
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     point: np.ndarray | None
     objective: float
@@ -393,7 +387,39 @@ def lp_solve(objective, P: Polyhedron) -> LpSolution:
         # Drifted rank-1 updates can pivot onto a near-singular basis; a
         # fresh factorization at every pivot keeps the ratio tests accurate.
         sol = _Simplex(P, c, refactor_every=1).solve()
-        return replace(sol, pivots=first.pivots + sol.pivots)
+        return sol._replace(pivots=first.pivots + sol.pivots)
+
+
+def _truncated_svd(A: np.ndarray, full_u: bool = False):
+    """(U_r, s_r, V_r^T, U_rest) of A = U S V^T, r the count of singular
+    values above max(shape) * eps * s_max, with U full when `full_u`."""
+    u, s, vt = np.linalg.svd(A, full_matrices=full_u)
+    r = int(np.sum(s > max(A.shape) * np.finfo(float).eps * np.max(s, initial=0.0)))
+    return u[:, :r], s[:r], vt[:r], u[:, r:]
+
+
+def _free_factors(E: np.ndarray, T: np.ndarray, X: np.ndarray):
+    """Factor the free columns of E, targets T and auxiliaries X, once.
+
+    With K = E[:, X], C spanning the complement of range(K) and
+    M = C^T E[:, T], a free move (E_free p = 0) is a p_T in ker(M) with
+    K p_X = -E[:, T] p_T.  Returns `move(rho)`, the least-norm free move
+    that minimizes |rho + p_T|, and `multipliers(grad_T)`,
+    nu = C (M^T)^+ grad_T, which solves E_free^T nu = (grad_T, 0) in the
+    least-squares sense whenever the move is zero.
+    """
+    E_T = E[:, T]
+    uk, sk, vtk, C = _truncated_svd(E[:, X], full_u=X.size < E.shape[0])
+    um, sm, vtm, _ = _truncated_svd(C.T @ E_T)
+
+    def move(rho):
+        p_T = vtm.T @ (vtm @ rho) - rho
+        return np.concatenate([p_T, -(vtk.T @ ((uk.T @ (E_T @ p_T)) / sk))])
+
+    def multipliers(grad_T):
+        return C @ (um @ ((vtm @ grad_T) / sm))
+
+    return move, multipliers
 
 
 def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
@@ -406,9 +432,11 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
 
     The walk starts from `z0`, which must lie in P.  A `g` or `z0` with a
     NaN or infinite entry, or a `z0` outside P, raises ValueError.
-    Each active set is factored once, E_free = U S V^T, for the step in
-    ker(E_free) and for the bound multipliers (the null-space method of
-    Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.5).
+    Each active set is factored once, for the step and the bound
+    multipliers, by `_free_factors`: the costless auxiliaries absorb
+    every target move in their range, so no SVD spans all free columns
+    (the Gaussian projection of Rothvoss, "Constructive discrepancy
+    minimization for convex sets", FOCS 2014).
     Raises NumericalError when the active-set loop fails to converge.
     """
     g = _as_vector(g, "g")
@@ -436,15 +464,9 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
 
     for it in range(max_iter):
         free_idx = np.flatnonzero(~(at_lo | at_up))
-        rho = z[:t] - g
-
-        # Rows of V^T past the rank span ker(E_free); 0 on empty shapes.
-        E_free = E[:, free_idx]
-        u, s, vt = np.linalg.svd(E_free)
-        rank = int(np.sum(s > max(E_free.shape) * np.finfo(float).eps * np.max(s, initial=0.0)))
-        N = vt[rank:].T
-        target = free_idx < t
-        p_free = N @ np.linalg.lstsq(N[target], -rho[free_idx[target]], rcond=None)[0]
+        T = free_idx[free_idx < t]
+        move, multipliers = _free_factors(E, T, free_idx[free_idx >= t])
+        p_free = move(z[T] - g[T])
 
         if np.max(np.abs(p_free), initial=0.0) > tol_step:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -473,13 +495,11 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
                 at_lo[hit_lo] = True
                 continue
 
-        # Subproblem optimal (a full step keeps the free set and its SVD):
-        # verify the bound multipliers, with nu = U_r S_r^-1 V_r^T grad_free
-        # the least-squares solution of E_free^T nu = grad_free.
+        # Subproblem optimal (a full step keeps the free set and its
+        # factors): verify the bound multipliers.
         grad = np.zeros(n)
         grad[:t] = z[:t] - g
-        nu = u[:, :rank] @ ((vt[:rank] @ grad[free_idx]) / s[:rank])
-        r = grad - E.T @ nu
+        r = grad - E.T @ multipliers(grad[T])
         viol = np.zeros(n)
         rem_lo = at_lo & ~fixed
         rem_up = at_up & ~fixed

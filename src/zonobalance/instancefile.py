@@ -11,15 +11,14 @@ parse(serialize(x)) reproduces every field bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, ParseError
 
 
-@dataclass
-class InstanceFile:
+class InstanceFile(NamedTuple):
     A: np.ndarray            # (m, d) generator rows
     V: np.ndarray            # (n, d) vector rows
     U: np.ndarray | None = None  # (n, m) preimage rows, optional

@@ -12,7 +12,7 @@ directions u_i = x_i / c_i satisfy sum_i c_i u_i u_i^T = I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ TOL_LEWIS = 1e-8
 MAX_ITER_LEWIS = 200
 
 
-@dataclass(frozen=True)
-class LewisPosition:
+class LewisPosition(NamedTuple):
     w: np.ndarray       # Lewis weights, length m
     c: np.ndarray       # |T^{-1} a_i|, the weights of the isotropy identity (= w at the fixed point)
     U_dirs: np.ndarray  # m x d, unit rows T^{-1} a_i / c_i
@@ -86,8 +85,7 @@ def k1_norm(LP: LewisPosition, x) -> float:
     return float(np.dot(LP.c, np.abs(LP.U_dirs @ x)))
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(NamedTuple):
     samples: int
     max_violation: float
     worst_direction: np.ndarray | None

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .zonotope import VectorFamily, Zonotope, zonotope_norm
 ORACLE_CAP = 22
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     best_signs: np.ndarray
     opt: float
     evaluations: int
@@ -117,8 +116,7 @@ def polar_identity_check(Z: Zonotope, V: VectorFamily, S, trials: int,
     return max_gap
 
 
-@dataclass(frozen=True)
-class WidthEstimate:
+class WidthEstimate(NamedTuple):
     mean: float
     stderr: float
     samples: int

@@ -12,7 +12,7 @@ l1 expression ||A y||_1 and needs no LP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,8 +167,7 @@ def polar_norm(Z: Zonotope, y) -> float:
     return float(np.abs(Z.A @ y).sum())
 
 
-@dataclass(frozen=True)
-class BasisChange:
+class BasisChange(NamedTuple):
     """Record of the preprocessing basis change and dropped generators.
 
     Reduced coordinates relate to the originals by x_orig = Q x_red.

@@ -13,6 +13,7 @@ from zonobalance.convex import (
     lp_solve,
     project_polyhedron,
 )
+from zonobalance.errors import NumericalError
 from zonobalance.instancefile import generate_instance
 from zonobalance.verify import _l1_ball_lp
 from zonobalance.zonotope import Zonotope, preprocess, zonotope_norm
@@ -138,15 +139,97 @@ def highs(c, P):
 
 
 def spy_factorizations(monkeypatch):
-    """Record ("svd" | "lstsq", matrix) for every numpy SVD and
-    least-squares solve, in call order."""
+    """Record, in call order, ("free", indices) for every free set the
+    projection factors, its targets then its auxiliaries, and ("svd" |
+    "lstsq", matrix) for every numpy SVD and least-squares solve."""
     calls = []
     for name in ("svd", "lstsq"):
         def spy(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.asarray(a)))
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
+    factor = convex._free_factors
+
+    def spy_free(E, T, X):
+        calls.append(("free", np.concatenate([T, X])))
+        return factor(E, T, X)
+    monkeypatch.setattr(convex, "_free_factors", spy_free)
     return calls
+
+
+def free_sets(calls):
+    return [idx for kind, idx in calls if kind == "free"]
+
+
+def null_space_projection(g, P, z0):
+    """Reference projection: the active-set walk of `project_polyhedron`
+    with the step and multipliers from one full SVD of all free columns,
+    E_free = U S V^T, the step in the null space V^T[rank:] by lstsq
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.5).
+    Returns z and the free set of every iteration."""
+    n, t = P.num_vars, g.shape[0]
+    E, lower, upper = P.E, P.lower, P.upper
+    z = np.clip(np.array(z0, dtype=float), lower, upper)
+    fixed = lower == upper
+    at_lo, at_up = fixed.copy(), np.zeros(n, dtype=bool)
+    tol_step = 1e-11 * (1.0 + np.max(np.abs(z), initial=0.0))
+    tol_mult = 1e-9 * (1.0 + np.max(np.abs(g), initial=0.0))
+    sets = []
+    for it in range(60 * n + 600):
+        free_idx = np.flatnonzero(~(at_lo | at_up))
+        sets.append(free_idx)
+        E_free = E[:, free_idx]
+        u, s, vt = np.linalg.svd(E_free)
+        rank = int(np.sum(s > max(E_free.shape) * np.finfo(float).eps * np.max(s, initial=0.0)))
+        N = vt[rank:].T
+        target = free_idx < t
+        p_free = N @ np.linalg.lstsq(N[target], -(z[:t] - g)[free_idx[target]], rcond=None)[0]
+        if np.max(np.abs(p_free), initial=0.0) > tol_step:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = np.minimum(
+                    np.where(p_free > 1e-13, (upper[free_idx] - z[free_idx]) / p_free, np.inf),
+                    np.where(p_free < -1e-13, (lower[free_idx] - z[free_idx]) / p_free, np.inf))
+            np.maximum(tau, 0.0, out=tau)
+            tau_min = float(np.min(tau, initial=np.inf))
+            z[free_idx] += min(1.0, tau_min) * p_free
+            if tau_min <= 1.0 + 1e-12:
+                blocked = tau <= tau_min * (1.0 + 1e-10) + 1e-15
+                hit_up = free_idx[blocked & (p_free > 0)]
+                hit_lo = free_idx[blocked & (p_free <= 0)]
+                z[hit_up], at_up[hit_up] = upper[hit_up], True
+                z[hit_lo], at_lo[hit_lo] = lower[hit_lo], True
+                continue
+        grad = np.zeros(n)
+        grad[:t] = z[:t] - g
+        r = grad - E.T @ (u[:, :rank] @ ((vt[:rank] @ grad[free_idx]) / s[:rank]))
+        viol = np.where(at_lo & ~fixed, -r, np.where(at_up & ~fixed, r, 0.0))
+        if np.max(viol, initial=0.0) <= tol_mult:
+            return z, sets
+        i = int(np.argmax(viol)) if it < 2 * n else int(np.flatnonzero(viol > tol_mult)[0])
+        at_lo[i] = at_up[i] = False
+    raise AssertionError("reference projection did not converge")
+
+
+def projection_cases():
+    """(g, P, z0) triples: the first round's lift of every default-grid
+    spec with d <= 32, with its first Gaussian draw (random-zonotope lifts
+    have more auxiliaries than rows), then 40 random polyhedra."""
+    cases = []
+    grid = bench_specs(["cube", "spencer-random", "random-zonotope"], [8, 16, 32, 64], 10, 0, 4)
+    for spec in (s for s in grid if s.d <= 32):
+        inst = generate_instance(spec.kind, spec.d, spec.m, spec.n,
+                                 np.random.default_rng(spec.instance_seed))
+        Z, V, _ = preprocess(inst.A, inst.V, inst.U)
+        k = V.n
+        P = _lift(Z, V.V, -np.ones(k), np.ones(k), round_scale(k, Z.d, DEFAULT_C0))
+        g = GAUSSIAN_SCALE * np.random.default_rng(spec.balance_seed).standard_normal(k)
+        cases.append((g, P, np.zeros(k + Z.m)))
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        P, z_feas = random_polyhedron(rng)
+        cases.append((2.0 * rng.standard_normal(int(rng.integers(1, P.num_vars + 1))),
+                      P, z_feas))
+    return cases
 
 
 def slsqp_projection(g, P, z0):
@@ -620,45 +703,41 @@ class TestProjection:
 
     def test_bound_release(self, monkeypatch):
         # Two bounds block the walk from 0, then the multiplier check
-        # releases one of them: the free set grows between two steps.
+        # releases one of them: the next free set strictly contains the last.
         P = Polyhedron(4, [[-0.6, 0.3, 0.0, -0.2], [-0.1, 1.0, 1.3, -0.2]], [0.0, 0.0],
                        [-1.0, -1.9, -0.3, -1.8], [1.1, 0.3, 1.0, 1.1])
         g = np.array([4.3, 3.2, 3.7, -1.5])
         calls = spy_factorizations(monkeypatch)
         z = project_polyhedron(g, P, z0=np.zeros(4))
-        free_cols = [a.shape[1] for kind, a in calls if kind == "svd"]
-        assert any(b > a for a, b in zip(free_cols, free_cols[1:])), free_cols
+        sets = [set(idx.tolist()) for idx in free_sets(calls)]
+        assert any(a < b for a, b in zip(sets, sets[1:])), sets
         assert P.contains(z)
         assert np.max(np.abs(z - slsqp_projection(g, P, np.zeros(4)))) <= 1e-6
 
     def test_one_factorization_per_free_set(self, monkeypatch):
-        # Each iteration takes one SVD of a new free set and one step
-        # solve from it; a full step goes straight on to the multiplier
-        # check with the same SVD.  Cases: the first round's lift of the
-        # default grid's first two seeds at d = 8 and 16, with their first
-        # Gaussian draw, and random polyhedra.
-        cases = []
-        grid = bench_specs(["cube", "spencer-random", "random-zonotope"], [8, 16, 32, 64], 10, 0, 4)
-        for spec in (s for s in grid if s.d <= 16 and s.index % 10 < 2):
-            inst = generate_instance(spec.kind, spec.d, spec.m, spec.n,
-                                     np.random.default_rng(spec.instance_seed))
-            Z, V, _ = preprocess(inst.A, inst.V, inst.U)
-            k = V.n
-            P = _lift(Z, V.V, -np.ones(k), np.ones(k), round_scale(k, Z.d, DEFAULT_C0))
-            g = GAUSSIAN_SCALE * np.random.default_rng(spec.balance_seed).standard_normal(k)
-            cases.append((g, P, np.zeros(k + Z.m)))
-        rng = np.random.default_rng(13)
-        for _ in range(40):
-            P, z_feas = random_polyhedron(rng)
-            cases.append((2.0 * rng.standard_normal(int(rng.integers(1, P.num_vars + 1))),
-                          P, z_feas))
+        # Each iteration factors a new free set, with two SVDs and no
+        # least-squares solve; a full step goes straight on to the
+        # multiplier check with the same factors.
         calls = spy_factorizations(monkeypatch)
-        for g, P, z0 in cases:
+        for g, P, z0 in projection_cases():
             calls.clear()
             project_polyhedron(g, P, z0=z0)
-            free_cols = [a.shape[1] for kind, a in calls if kind == "svd"]
-            assert all(a != b for a, b in zip(free_cols, free_cols[1:])), free_cols
-            assert [kind for kind, _ in calls] == ["svd", "lstsq"] * len(free_cols)
+            sets = free_sets(calls)
+            assert all(not np.array_equal(a, b) for a, b in zip(sets, sets[1:])), sets
+            assert [kind for kind, _ in calls] == ["free", "svd", "svd"] * len(sets)
+
+    def test_matches_the_null_space_reference(self, monkeypatch):
+        # The same free sets in the same order as one full SVD of all
+        # free columns per iteration, and the same point to 1e-12.
+        calls = spy_factorizations(monkeypatch)
+        for g, P, z0 in projection_cases():
+            calls.clear()
+            z = project_polyhedron(g, P, z0=z0)
+            z_ref, ref_sets = null_space_projection(g, P, z0)
+            sets = free_sets(calls)
+            assert len(sets) == len(ref_sets)
+            assert all(np.array_equal(a, b) for a, b in zip(sets, ref_sets))
+            assert np.max(np.abs(z - z_ref)) <= 1e-12 * max(1.0, np.max(np.abs(z_ref)))
 
     def test_multipliers_on_an_empty_free_set(self, monkeypatch):
         # From 0 the step along (1, -1) hits both bounds at once, so the
@@ -667,6 +746,37 @@ class TestProjection:
         g = np.array([5.0, -0.5])
         calls = spy_factorizations(monkeypatch)
         z = project_polyhedron(g, P, z0=np.zeros(2))
-        assert 0 in [a.shape[1] for kind, a in calls if kind == "svd"]
+        # The empty free set moves nothing, so its multiplier check runs
+        # and releases one bound.
+        assert [idx.size for idx in free_sets(calls)] == [2, 0, 1]
         assert np.max(np.abs(z - [1.0, -1.0])) <= 1e-12
         assert np.max(np.abs(z - slsqp_projection(g, P, np.zeros(2)))) <= 1e-6
+
+    def test_stall_on_degenerate_bounds_raises(self, monkeypatch):
+        # A reversed move from the upper bound of [0, 1] steps zero and
+        # blocks there, and the multiplier check releases that bound
+        # again: zero steps pile up past n + 10.
+        factor = convex._free_factors
+
+        def reversed_move(E, T, X):
+            move, multipliers = factor(E, T, X)
+            return (lambda rho: -move(rho)), multipliers
+        monkeypatch.setattr(convex, "_free_factors", reversed_move)
+        P = box([0.0], [1.0])
+        with pytest.raises(NumericalError, match="stalled on degenerate bounds") as err:
+            project_polyhedron(np.array([0.5]), P, z0=np.array([1.0]))
+        assert err.value.residual == 0.5
+
+    def test_iteration_budget_exhausted_raises(self, monkeypatch):
+        # A doubled move overshoots g = 0.5 from one bound of [0, 1] to
+        # the other, each release sends it back, and the walk never ends.
+        factor = convex._free_factors
+
+        def doubled_move(E, T, X):
+            move, multipliers = factor(E, T, X)
+            return (lambda rho: 2.0 * move(rho)), multipliers
+        monkeypatch.setattr(convex, "_free_factors", doubled_move)
+        P = box([0.0], [1.0])
+        with pytest.raises(NumericalError, match="did not converge within") as err:
+            project_polyhedron(np.array([0.5]), P, z0=np.array([0.0]))
+        assert err.value.residual == 0.5
