@@ -170,10 +170,8 @@ class RoundRecord(NamedTuple):
 
 
 class BalanceReport(NamedTuple):
-    signs: np.ndarray
+    signs: np.ndarray  # int8, every entry -1 or +1
     discrepancy: float
-    bound: float
-    ratio: float
     rounds: int
     seed: int
     c0: float
@@ -182,6 +180,15 @@ class BalanceReport(NamedTuple):
     n: int
     d: int
     m: int
+
+    @property
+    def bound(self) -> float:
+        """The reporting scale sqrt(n log2(2d/n)), derived on each read."""
+        return round_scale(self.n, self.d, 1.0)
+
+    @property
+    def ratio(self) -> float:
+        return self.discrepancy / self.bound
 
 
 def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
@@ -225,10 +232,8 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
                                increment=step.increment))
         c_final = max(c_final, step.c_used)
 
-    discrepancy = zonotope_norm(Z, V.V.T @ y)
-    bound = round_scale(n, d, 1.0)
     return BalanceReport(
-        signs=y.astype(int), discrepancy=discrepancy, bound=bound,
-        ratio=discrepancy / bound, rounds=len(log), seed=seed, c0=c0,
-        c_final=c_final, log=tuple(log), n=n, d=d, m=Z.m,
+        signs=y.astype(np.int8), discrepancy=zonotope_norm(Z, V.V.T @ y),
+        rounds=len(log), seed=seed, c0=c0, c_final=c_final, log=tuple(log),
+        n=n, d=d, m=Z.m,
     )

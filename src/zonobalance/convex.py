@@ -8,9 +8,10 @@ columns first, with a Bland's-rule fallback after a fixed pivot budget,
 so every solve is deterministic).  It starts from a lower-triangular
 crash basis, and a row gets an artificial column only when the crash
 leaves it open.  The projection solver is a primal active-set method on
-the same representation.  Each active set's step and bound multipliers
-come from two SVDs taken once: one of the free auxiliary columns, and a
-thin one of the free target columns outside their range.  Problem
+the same representation.  The free auxiliary columns take one SVD per
+free auxiliary set, reused by every step that only fixes or frees
+targets; each step then takes a thin SVD of the free target columns
+outside their range, or none when that range is every row.  Problem
 sizes stay in the low thousands of variables, so dense linear algebra
 is adequate.
 
@@ -398,23 +399,37 @@ def _truncated_svd(A: np.ndarray, full_u: bool = False):
     return u[:, :r], s[:r], vt[:r], u[:, r:]
 
 
-def _free_factors(E: np.ndarray, T: np.ndarray, X: np.ndarray):
-    """Factor the free columns of E, targets T and auxiliaries X, once.
+def _aux_factors(E: np.ndarray, X: np.ndarray):
+    """(U_r, s_r, V_r^T, C) of the free auxiliary columns K = E[:, X],
+    with C spanning the complement of range(K)."""
+    return _truncated_svd(E[:, X], full_u=X.size < E.shape[0])
+
+
+def _free_factors(E: np.ndarray, T: np.ndarray, aux):
+    """Factor the free target columns T of E against `aux`, the
+    `_aux_factors` of the free auxiliaries X.
 
     With K = E[:, X], C spanning the complement of range(K) and
     M = C^T E[:, T], a free move (E_free p = 0) is a p_T in ker(M) with
     K p_X = -E[:, T] p_T.  Returns `move(rho)`, the least-norm free move
     that minimizes |rho + p_T|, and `multipliers(grad_T)`,
     nu = C (M^T)^+ grad_T, which solves E_free^T nu = (grad_T, 0) in the
-    least-squares sense whenever the move is zero.
+    least-squares sense whenever the move is zero.  When C has no
+    columns, K spans every row: then p_T = -rho, nu = 0, and M takes no
+    SVD.
     """
     E_T = E[:, T]
-    uk, sk, vtk, C = _truncated_svd(E[:, X], full_u=X.size < E.shape[0])
+    uk, sk, vtk, C = aux
+
+    def free_move(p_T):
+        return np.concatenate([p_T, -(vtk.T @ ((uk.T @ (E_T @ p_T)) / sk))])
+
+    if not C.shape[1]:
+        return (lambda rho: free_move(-rho)), (lambda grad_T: np.zeros(E.shape[0]))
     um, sm, vtm, _ = _truncated_svd(C.T @ E_T)
 
     def move(rho):
-        p_T = vtm.T @ (vtm @ rho) - rho
-        return np.concatenate([p_T, -(vtk.T @ ((uk.T @ (E_T @ p_T)) / sk))])
+        return free_move(vtm.T @ (vtm @ rho) - rho)
 
     def multipliers(grad_T):
         return C @ (um @ ((vtm @ grad_T) / sm))
@@ -432,11 +447,14 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
 
     The walk starts from `z0`, which must lie in P.  A `g` or `z0` with a
     NaN or infinite entry, or a `z0` outside P, raises ValueError.
-    Each active set is factored once, for the step and the bound
-    multipliers, by `_free_factors`: the costless auxiliaries absorb
-    every target move in their range, so no SVD spans all free columns
-    (the Gaussian projection of Rothvoss, "Constructive discrepancy
-    minimization for convex sets", FOCS 2014).
+    The costless auxiliaries absorb every target move in their range, so
+    no SVD spans all free columns (the Gaussian projection of Rothvoss,
+    "Constructive discrepancy minimization for convex sets", FOCS 2014).
+    The free auxiliaries are factored by `_aux_factors` once per free
+    auxiliary set: again only after a step fixes an auxiliary or a
+    release frees one.  Each active set's targets are factored once
+    against them, for the step and the bound multipliers, by
+    `_free_factors`.
     Raises NumericalError when the active-set loop fails to converge.
     """
     g = _as_vector(g, "g")
@@ -461,11 +479,14 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     tol_step = 1e-11 * (1.0 + float(np.max(np.abs(z), initial=0.0)))
     tol_mult = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
     zero_steps = 0
+    aux = None  # the free auxiliaries' factors, until that set changes
 
     for it in range(max_iter):
         free_idx = np.flatnonzero(~(at_lo | at_up))
+        if aux is None:
+            aux = _aux_factors(E, free_idx[free_idx >= t])
         T = free_idx[free_idx < t]
-        move, multipliers = _free_factors(E, T, free_idx[free_idx >= t])
+        move, multipliers = _free_factors(E, T, aux)
         p_free = move(z[T] - g[T])
 
         if np.max(np.abs(p_free), initial=0.0) > tol_step:
@@ -493,6 +514,8 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
                 at_up[hit_up] = True
                 z[hit_lo] = lower[hit_lo]
                 at_lo[hit_lo] = True
+                if np.any(free_idx[blocked] >= t):
+                    aux = None
                 continue
 
         # Subproblem optimal (a full step keeps the free set and its
@@ -514,6 +537,8 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
             i = int(np.flatnonzero(viol > tol_mult)[0])  # lowest index fallback
         at_lo[i] = False
         at_up[i] = False
+        if i >= t:
+            aux = None
 
     raise NumericalError(
         "projection did not converge within the iteration budget",

@@ -19,7 +19,7 @@ ORACLE_CAP = 22
 
 
 class OracleResult(NamedTuple):
-    best_signs: np.ndarray
+    best_signs: np.ndarray  # int8, as BalanceReport.signs
     opt: float
     evaluations: int
 
@@ -46,7 +46,7 @@ def brute_force_min_discrepancy(Z: Zonotope, V: VectorFamily) -> OracleResult:
         if val < best_val:
             best_val = val
             best = x
-    return OracleResult(best_signs=best.astype(int), opt=best_val,
+    return OracleResult(best_signs=best.astype(np.int8), opt=best_val,
                         evaluations=evaluations)
 
 

@@ -1,7 +1,9 @@
 """Tests for coordinate-body lifts, partial coloring, and the driver."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,12 @@ from zonobalance.convex import lp_solve
 from zonobalance.errors import InputError, NumericalError
 from zonobalance.instancefile import generate_instance
 from zonobalance.zonotope import VectorFamily, Zonotope, preprocess, zonotope_norm
+
+
+# Bytes one d = 64 spencer-random BalanceReport keeps: tracemalloc read
+# 1241 on Python 3.11 with numpy 2.4, and this adds about 10 % slack.
+# int64 signs would add 448 bytes.
+KEPT_BYTES = 1360
 
 
 def spencer_instance(d, seed):
@@ -325,6 +333,29 @@ class TestBalance:
             assert rep2.discrepancy == pytest.approx(rep.discrepancy, rel=rel)
             in_original_gauge = zonotope_norm(Z, (lam * V.V).T @ rep2.signs)
             assert in_original_gauge == pytest.approx(lam * rep.discrepancy, rel=rel)
+
+    def test_report_footprint(self):
+        # Every benchmark pass keeps its reports, so a fatter record costs
+        # peak memory.  A d = 64 report keeps int8 signs and derives bound
+        # and ratio on each read, with the bits they had as fields.  The
+        # mean over eight reports dilutes the allocator caches that a
+        # balance run leaves filled.
+        inst = generate_instance("spencer-random", 64, 64, 64, np.random.default_rng(2))
+        Z, V, _ = preprocess(inst.A, inst.V, inst.U)
+        rep = balance(Z, V, seed=2)
+        assert rep.signs.dtype == np.int8
+        assert rep.bound == round_scale(64, 64, 1.0)
+        assert rep.ratio == rep.discrepancy / round_scale(64, 64, 1.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            reports = [balance(Z, V, seed=2) for _ in range(8)]
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] / len(reports)
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(r.signs, rep.signs) for r in reports)
+        assert kept <= KEPT_BYTES, kept
 
     def test_rejects_unpreprocessed_wide_family(self):
         Z = Zonotope(np.eye(2))

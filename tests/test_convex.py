@@ -139,26 +139,51 @@ def highs(c, P):
 
 
 def spy_factorizations(monkeypatch):
-    """Record, in call order, ("free", indices) for every free set the
-    projection factors, its targets then its auxiliaries, and ("svd" |
-    "lstsq", matrix) for every numpy SVD and least-squares solve."""
+    """Record, in call order, ("aux", X) for every free auxiliary set the
+    projection factors, ("free", T, c) for every free target set it
+    factors against the last one, c the column count of that set's C,
+    and ("svd" | "lstsq", matrix) for every numpy SVD and least-squares
+    solve."""
     calls = []
     for name in ("svd", "lstsq"):
         def spy(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.asarray(a)))
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
-    factor = convex._free_factors
+    aux_factors, free_factors = convex._aux_factors, convex._free_factors
 
-    def spy_free(E, T, X):
-        calls.append(("free", np.concatenate([T, X])))
-        return factor(E, T, X)
+    def spy_aux(E, X):
+        calls.append(("aux", X))
+        return aux_factors(E, X)
+
+    def spy_free(E, T, aux):
+        calls.append(("free", T, aux[3].shape[1]))
+        return free_factors(E, T, aux)
+    monkeypatch.setattr(convex, "_aux_factors", spy_aux)
     monkeypatch.setattr(convex, "_free_factors", spy_free)
     return calls
 
 
 def free_sets(calls):
-    return [idx for kind, idx in calls if kind == "free"]
+    """Every step's free set: its targets, then the auxiliaries factored last."""
+    sets = []
+    for kind, idx, *_ in calls:
+        if kind == "aux":
+            X = idx
+        elif kind == "free":
+            sets.append(np.concatenate([idx, X]))
+    return sets
+
+
+def refactored(calls):
+    """For every step, whether it factored its auxiliaries afresh."""
+    steps = []
+    for kind, *_ in calls:
+        if kind == "free":
+            steps.append(prev == "aux")
+        if kind in ("aux", "free"):
+            prev = kind
+    return steps
 
 
 def null_space_projection(g, P, z0):
@@ -213,7 +238,9 @@ def null_space_projection(g, P, z0):
 def projection_cases():
     """(g, P, z0) triples: the first round's lift of every default-grid
     spec with d <= 32, with its first Gaussian draw (random-zonotope lifts
-    have more auxiliaries than rows), then 40 random polyhedra."""
+    have more auxiliaries than rows), a d = 4 spencer lift at s = 0.5
+    (steps fix auxiliaries) and s = 1.0 (releases free them too), then 40
+    random polyhedra."""
     cases = []
     grid = bench_specs(["cube", "spencer-random", "random-zonotope"], [8, 16, 32, 64], 10, 0, 4)
     for spec in (s for s in grid if s.d <= 32):
@@ -224,6 +251,12 @@ def projection_cases():
         P = _lift(Z, V.V, -np.ones(k), np.ones(k), round_scale(k, Z.d, DEFAULT_C0))
         g = GAUSSIAN_SCALE * np.random.default_rng(spec.balance_seed).standard_normal(k)
         cases.append((g, P, np.zeros(k + Z.m)))
+    rng = np.random.default_rng(0)
+    V_S = rng.choice([-1.0, 1.0], (4, 4))
+    g = 2.0 * rng.standard_normal(4)
+    for s in (0.5, 1.0):
+        cases.append((g, _lift(Zonotope(np.eye(4)), V_S, -np.ones(4), np.ones(4), s),
+                      np.zeros(8)))
     rng = np.random.default_rng(13)
     for _ in range(40):
         P, z_feas = random_polyhedron(rng)
@@ -715,21 +748,38 @@ class TestProjection:
         assert np.max(np.abs(z - slsqp_projection(g, P, np.zeros(4)))) <= 1e-6
 
     def test_one_factorization_per_free_set(self, monkeypatch):
-        # Each iteration factors a new free set, with two SVDs and no
-        # least-squares solve; a full step goes straight on to the
-        # multiplier check with the same factors.
+        # Each iteration factors a new free set and no least-squares
+        # solve runs: one SVD of K per free auxiliary set, and a thin SVD
+        # of M only when C has columns.  A full step goes straight on to
+        # the multiplier check with the same factors.
         calls = spy_factorizations(monkeypatch)
+        no_M = 0
         for g, P, z0 in projection_cases():
             calls.clear()
             project_polyhedron(g, P, z0=z0)
             sets = free_sets(calls)
             assert all(not np.array_equal(a, b) for a, b in zip(sets, sets[1:])), sets
-            assert [kind for kind, _ in calls] == ["free", "svd", "svd"] * len(sets)
+            aux = [c[1] for c in calls if c[0] == "aux"]
+            assert all(not np.array_equal(a, b) for a, b in zip(aux, aux[1:])), aux
+            expected = []
+            for kind, *rest in calls:
+                if kind == "aux":
+                    expected += ["aux", "svd"]
+                elif kind == "free":
+                    expected += ["free", "svd"] if rest[1] else ["free"]
+                    no_M += not rest[1]
+            assert [c[0] for c in calls] == expected
+        # K spans every row on every step of the cube and spencer lifts.
+        assert no_M > 0
 
     def test_matches_the_null_space_reference(self, monkeypatch):
         # The same free sets in the same order as one full SVD of all
-        # free columns per iteration, and the same point to 1e-12.
+        # free columns per iteration, and the same point to 1e-12.  K is
+        # factored afresh exactly at the steps whose free auxiliaries
+        # changed: steps fix auxiliaries on random polyhedra and on the
+        # spencer lifts at small s, and releases free them on the latter.
         calls = spy_factorizations(monkeypatch)
+        fixed = freed = 0
         for g, P, z0 in projection_cases():
             calls.clear()
             z = project_polyhedron(g, P, z0=z0)
@@ -737,7 +787,13 @@ class TestProjection:
             sets = free_sets(calls)
             assert len(sets) == len(ref_sets)
             assert all(np.array_equal(a, b) for a, b in zip(sets, ref_sets))
+            aux = [idx[idx >= g.shape[0]] for idx in ref_sets]
+            assert refactored(calls) == [i == 0 or not np.array_equal(a, aux[i - 1])
+                                         for i, a in enumerate(aux)]
+            fixed += sum(b.size < a.size for a, b in zip(aux, aux[1:]))
+            freed += sum(b.size > a.size for a, b in zip(aux, aux[1:]))
             assert np.max(np.abs(z - z_ref)) <= 1e-12 * max(1.0, np.max(np.abs(z_ref)))
+        assert fixed and freed
 
     def test_multipliers_on_an_empty_free_set(self, monkeypatch):
         # From 0 the step along (1, -1) hits both bounds at once, so the
@@ -758,8 +814,8 @@ class TestProjection:
         # again: zero steps pile up past n + 10.
         factor = convex._free_factors
 
-        def reversed_move(E, T, X):
-            move, multipliers = factor(E, T, X)
+        def reversed_move(E, T, aux):
+            move, multipliers = factor(E, T, aux)
             return (lambda rho: -move(rho)), multipliers
         monkeypatch.setattr(convex, "_free_factors", reversed_move)
         P = box([0.0], [1.0])
@@ -772,8 +828,8 @@ class TestProjection:
         # the other, each release sends it back, and the walk never ends.
         factor = convex._free_factors
 
-        def doubled_move(E, T, X):
-            move, multipliers = factor(E, T, X)
+        def doubled_move(E, T, aux):
+            move, multipliers = factor(E, T, aux)
             return (lambda rho: 2.0 * move(rho)), multipliers
         monkeypatch.setattr(convex, "_free_factors", doubled_move)
         P = box([0.0], [1.0])

@@ -68,6 +68,7 @@ class TestOracle:
         from zonobalance.zonotope import zonotope_norm
         direct = zonotope_norm(Z, V.V.T @ res.best_signs)
         assert direct == pytest.approx(res.opt, abs=1e-8)
+        assert res.best_signs.dtype == np.int8  # as BalanceReport.signs
 
     def test_symmetry_under_negation(self):
         Z, V = random_zonotope_instance(4, 8, 4, seed=1)
