@@ -189,9 +189,9 @@ def _cmd_norm(args) -> str:
     except ValueError:
         raise InputError(f"--x must be a space-separated vector, got {args.x!r}")
     Z, change = reduce_generators(inst.A)
-    if x.shape[0] != change.original_d:
+    if x.shape[0] != change.Q.shape[0]:
         raise InputError(
-            f"--x has dimension {x.shape[0]}, instance has {change.original_d}")
+            f"--x has dimension {x.shape[0]}, instance has {change.Q.shape[0]}")
     R, s = change.rows_to_reduced(x[None, :])
     try:
         return repr(math.ldexp(zonotope_norm(Z, R[0]), int(s[0])))
@@ -220,8 +220,7 @@ def _cmd_oracle(args) -> str:
 
 def _cmd_check(args) -> str:
     Z, V = _preprocessed(args.instance)
-    max_gap = verify.polar_identity_check(Z, V, None, args.trials,
-                                          np.random.default_rng(args.seed))
+    max_gap = verify.polar_identity_check(Z, V, args.trials, np.random.default_rng(args.seed))
     return f"trials: {args.trials}\nmax_gap: {max_gap!r}"
 
 

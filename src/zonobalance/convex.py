@@ -450,11 +450,11 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     The costless auxiliaries absorb every target move in their range, so
     no SVD spans all free columns (the Gaussian projection of Rothvoss,
     "Constructive discrepancy minimization for convex sets", FOCS 2014).
-    The free auxiliaries are factored by `_aux_factors` once per free
-    auxiliary set: again only after a step fixes an auxiliary or a
-    release frees one.  Each active set's targets are factored once
-    against them, for the step and the bound multipliers, by
-    `_free_factors`.
+    The free auxiliaries are factored by `_aux_factors`, and the factors
+    are kept with the index set they were taken for: a step whose free
+    auxiliaries differ from that set factors them again.  Each active
+    set's targets are factored once against them, for the step and the
+    bound multipliers, by `_free_factors`.
     Raises NumericalError when the active-set loop fails to converge.
     """
     g = _as_vector(g, "g")
@@ -479,12 +479,13 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     tol_step = 1e-11 * (1.0 + float(np.max(np.abs(z), initial=0.0)))
     tol_mult = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
     zero_steps = 0
-    aux = None  # the free auxiliaries' factors, until that set changes
+    aux_X = aux = None  # the free auxiliaries last factored, and their factors
 
     for it in range(max_iter):
         free_idx = np.flatnonzero(~(at_lo | at_up))
-        if aux is None:
-            aux = _aux_factors(E, free_idx[free_idx >= t])
+        X = free_idx[free_idx >= t]
+        if aux is None or not np.array_equal(X, aux_X):
+            aux_X, aux = X, _aux_factors(E, X)
         T = free_idx[free_idx < t]
         move, multipliers = _free_factors(E, T, aux)
         p_free = move(z[T] - g[T])
@@ -514,8 +515,6 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
                 at_up[hit_up] = True
                 z[hit_lo] = lower[hit_lo]
                 at_lo[hit_lo] = True
-                if np.any(free_idx[blocked] >= t):
-                    aux = None
                 continue
 
         # Subproblem optimal (a full step keeps the free set and its
@@ -537,8 +536,6 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
             i = int(np.flatnonzero(viol > tol_mult)[0])  # lowest index fallback
         at_lo[i] = False
         at_up[i] = False
-        if i >= t:
-            aux = None
 
     raise NumericalError(
         "projection did not converge within the iteration budget",

@@ -77,39 +77,25 @@ def _l1_ball_max(P: Polyhedron, objective: np.ndarray) -> float:
     return -sol.objective
 
 
-def polar_identity_check(Z: Zonotope, V: VectorFamily, S, trials: int,
-                         rng) -> float:
+def polar_identity_check(Z: Zonotope, V: VectorFamily, trials: int, rng) -> float:
     """Largest gap between the two sides of the coordinate-body duality.
 
-    For random y the gauge of x = sum_{i in S} y_i v_i must equal the
-    maximum of <x, w> over the polar body {w : ||A w||_1 <= 1}.  With
-    A = Q R and b = A w = Q z that maximum is max <R^{-T} x, z> over the
-    l1 ball cut by the column span of A, ||Q z||_1 <= 1, computed by an
-    independent LP over that section.
-
-    An explicit S holds indices in 0..n-1 (InputError otherwise).  With
-    S None each trial draws its own index set: a size uniform in 1..n,
-    then that many distinct indices, then y.
+    Each trial draws from `rng` an index set S (a size uniform in 1..n,
+    then that many distinct indices) and a Gaussian y.  The gauge of
+    x = sum_{i in S} y_i v_i must equal the maximum of <x, w> over the
+    polar body {w : ||A w||_1 <= 1}.  With A = Q R and b = A w = Q z that
+    maximum is max <R^{-T} x, z> over the l1 ball cut by the column span
+    of A, ||Q z||_1 <= 1, computed by an independent LP over that section.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
-    if S is not None:
-        S = [int(i) for i in S]
-        if not S:
-            raise InputError("index set must be nonempty")
-        outside = [i for i in S if not 0 <= i < V.n]
-        if outside:
-            raise InputError(f"index {outside[0]} is outside 0..{V.n - 1}")
-        S = sorted(S)
     span_basis, R = np.linalg.qr(Z.A)
     P = _l1_ball_lp(span_basis)
     max_gap = 0.0
     for _ in range(trials):
-        T = S
-        if T is None:
-            size = int(rng.integers(1, V.n + 1))
-            T = sorted(rng.choice(V.n, size=size, replace=False).tolist())
-        x = V.V[T].T @ rng.standard_normal(len(T))
+        size = int(rng.integers(1, V.n + 1))
+        S = sorted(rng.choice(V.n, size=size, replace=False).tolist())
+        x = V.V[S].T @ rng.standard_normal(size)
         lhs = zonotope_norm(Z, x)
         rhs = _l1_ball_max(P, np.linalg.solve(R.T, x))
         max_gap = max(max_gap, abs(lhs - rhs))
@@ -164,10 +150,10 @@ def _csv_cell(x) -> str:
 
 
 def csv_row(kind: str, report: BalanceReport, opt: float | None = None) -> str:
-    """One benchmark row in the fixed column order."""
-    cells = [kind, report.d, report.m, report.n, report.seed, report.c0,
-             report.discrepancy, report.bound, report.ratio, report.rounds,
-             report.c_final, "" if opt is None else opt]
+    """One benchmark row in CSV_COLUMNS order: `kind`, the report's
+    fields between, and `opt`, empty when None."""
+    cells = [kind, *(getattr(report, c) for c in CSV_COLUMNS[1:-1]),
+             "" if opt is None else opt]
     return ",".join(_csv_cell(c) for c in cells)
 
 

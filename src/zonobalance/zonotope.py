@@ -173,40 +173,34 @@ class BasisChange(NamedTuple):
     Reduced coordinates relate to the originals by x_orig = Q x_red.
     """
 
-    Q: np.ndarray  # (original_d, reduced_d), orthonormal columns
+    Q: np.ndarray  # (original d, reduced d), orthonormal columns
     dropped_generators: tuple[int, ...]
-    original_d: int
-
-    @property
-    def reduced_d(self) -> int:
-        return self.Q.shape[1]
 
     def rows_to_reduced(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """(R, s) with X Q = R * 2^s row by row, R = X Q and s = 0 unless
-        a row's largest coordinate leaves the normal float range.  Raises
+        """(R, s) with X Q = R * 2^s row by row, s the power of two that
+        puts the row's largest entry in [1, 2): R is X Q computed on X
+        scaled by 2^-s, so it never leaves the float range.  Raises
         InputError naming the first row with a NaN or infinite entry, and
         SpanError the first row x off the span by over TOL_SPAN * (1 + |x|),
-        a rule run on x scaled by the power of two that puts max|x| in
-        [1, 2), and the threshold with it, so no square overflows."""
+        a rule run on the same scaled rows, and the threshold with them,
+        so no square overflows."""
         X = np.asarray(X, dtype=float)
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise InputError(f"vector {int(bad[0])} contains NaN or infinity")
-        e = np.frexp(np.abs(X).max(axis=1))[1] - 1
-        X_unit = np.ldexp(X, -e[:, None])
-        X_red = X_unit @ self.Q
-        resid = np.linalg.norm(X_unit - X_red @ self.Q.T, axis=1)
+        s = np.frexp(np.abs(X).max(axis=1))[1] - 1
+        X_unit = np.ldexp(X, -s[:, None])
+        R = X_unit @ self.Q
+        resid = np.linalg.norm(X_unit - R @ self.Q.T, axis=1)
         norm = np.linalg.norm(X_unit, axis=1)
         with np.errstate(over="ignore"):  # inf below 2^-1023: no residual passes
-            one = np.ldexp(1.0, -e)
+            one = np.ldexp(1.0, -s)
         outside = np.flatnonzero(resid > TOL_SPAN * (one + norm))
         if outside.size:
             i = int(outside[0])
             raise SpanError(f"vector {i} lies outside the span of the generators "
                             f"(residual {resid[i] / norm[i]:.3e} of its norm)")
-        top = np.frexp(np.abs(X_red).max(axis=1))[1]
-        k = np.clip(e, -1021 - top, 1024 - top)  # max|R| normal, k = e where it can be
-        return np.ldexp(X_red, k[:, None]), e - k
+        return R, s
 
 
 def reduce_generators(A_raw) -> tuple[Zonotope, BasisChange]:
@@ -235,7 +229,7 @@ def reduce_generators(A_raw) -> tuple[Zonotope, BasisChange]:
         A = A @ Q
     else:
         Q = np.eye(d0)
-    return Zonotope(A), BasisChange(Q, dropped, d0)
+    return Zonotope(A), BasisChange(Q, dropped)
 
 
 def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
@@ -243,17 +237,19 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
 
     Builds the zonotope with `reduce_generators`, maps the vectors into
     its span, and certifies that every vector lies in the body: a row of
-    the optional cube preimages U (v_i = A^T u_i, |u_i| <= 1) certifies
-    its vector without an LP, any other vector is certified by its
-    gauge.  The preimages are not kept.  Vectors outside the span are
-    rejected; vectors outside the body are rejected unless `rescale`
-    pulls them back to the boundary.  Any number of vectors is kept.
+    the optional cube preimages U with |u_i| <= 1 and
+    |A^T u_i - v_i| <= 1e-8 |v_i| (max norms, so the verdict does not
+    depend on the instance's scale) certifies v_i without an LP, any
+    other vector is certified by its gauge.  The preimages are not kept.
+    Vectors outside the span are rejected; vectors outside the body are
+    rejected unless `rescale` pulls them back to the boundary.  Any
+    number of vectors is kept.
 
     Returns (Zonotope, VectorFamily, BasisChange).
     """
     Z, change = reduce_generators(A_raw)
     V = np.array(VectorFamily(V_raw).V)  # writable, for the rescale
-    if V.shape[1] != change.original_d:
+    if V.shape[1] != change.Q.shape[0]:
         raise InputError("A and V must share the ambient dimension")
     U = None
     if U_raw is not None:
@@ -262,19 +258,19 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
             raise InputError("U must be n x m")
         U = np.delete(U, change.dropped_generators, axis=1)
     R, s = V, np.zeros(V.shape[0], dtype=int)  # row i of V is R[i] * 2^s[i]
-    if change.reduced_d < change.original_d:
+    if Z.d < V.shape[1]:
         R, s = change.rows_to_reduced(V)
         with np.errstate(over="ignore"):  # a row past the float range reads inf
             V = np.ldexp(R, s[:, None])
 
     for i in range(V.shape[0]):
-        if U is not None and (
-            np.max(np.abs(U[i]), initial=0.0) <= 1.0 + TOL_FEAS
-            and np.linalg.norm(Z.A.T @ U[i] - V[i]) <= 1e-8
-        ):
-            continue
+        if U is not None and np.max(np.abs(U[i]), initial=0.0) <= 1.0 + TOL_FEAS:
+            with np.errstate(over="ignore"):  # at R[i]'s scale; inf fails
+                resid = np.abs(np.ldexp(Z.A.T @ U[i], -s[i]) - R[i]).max()
+            if resid <= 1e-8 * np.abs(R[i]).max():
+                continue
         value_r = zonotope_norm(Z, R[i])
-        value = value_r * 2.0 ** int(s[i])  # exact, or inf past the float range
+        value = value_r * 2.0 ** int(s[i])  # the gauge of V[i]; inf past the float range
         if value <= 1.0 + TOL_FEAS:
             continue
         if not rescale:

@@ -158,7 +158,7 @@ def test_criterion_7_polar_identity():
         inst = generate_instance("random-zonotope", d, m, d,
                                  np.random.default_rng(3000 + i))
         Z, V, _ = preprocess(inst.A, inst.V, inst.U)
-        worst = max(worst, polar_identity_check(Z, V, None, 20, rng))
+        worst = max(worst, polar_identity_check(Z, V, 20, rng))
         trials += 20
     assert trials == 100
     assert worst <= 1e-6

@@ -154,6 +154,28 @@ class TestExitCodes:
         assert code == 2
         assert "numerical" in err.lower()
 
+    @pytest.mark.parametrize("x, message", [
+        ("1 x 0 0", "--x must be a space-separated vector, got '1 x 0 0'"),
+        ("1,0,0,0", "--x must be a space-separated vector"),
+        ("1 0 0", "--x has dimension 3, instance has 4"),
+    ])
+    def test_norm_x_unparsed_or_misshaped_exits_one(self, capsys, tall4, x, message):
+        code, out, err = run_cli(capsys, "norm", tall4, "--x", x)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bench", "--d-list", "8,x"), "--d-list must be comma-separated integers, got '8,x'"),
+        (("gen", "--kind", "cube", "--d", "2", "--n", "2", "--seed", "1.5"),
+         "invalid int value: '1.5'"),
+        (("gen", "--kind", "cube", "--d", "2", "--n", "2", "--seed", "x"),
+         "invalid int value: 'x'"),
+    ])
+    def test_unparsed_d_list_or_seed_exits_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
     @pytest.mark.parametrize("body", ["tall4", "spencer4"])
     @pytest.mark.parametrize("x", ["nan 0 0 0", "inf 0 0 0", "0 -inf 1 0"])
     def test_non_finite_vector_exits_one(self, capsys, request, body, x):

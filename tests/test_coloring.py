@@ -363,6 +363,24 @@ class TestBalance:
         with pytest.raises(InputError, match="more active vectors \\(3\\)"):
             balance(Z, V)
 
+    @pytest.mark.parametrize("value, match", [
+        (1.5, "left the sign cube"),
+        (np.nan, "left the sign cube"),
+        (0.5, "fixed fewer than half"),
+    ])
+    def test_round_breaking_its_contract_raises(self, monkeypatch, value, match):
+        # Safety nets behind partial_coloring, reached through a round that
+        # leaves the cube, returns NaN or fixes one coordinate of four.
+        def broken(Z, V, y, c0, *, rng):
+            y_new = np.full(V.n, value)
+            y_new[0] = 1.0
+            return coloring.PartialColoringStep(
+                y_new=y_new, increment=0.0, scale_used=1.0, c_used=c0,
+                attempts=1, tight_gained=1)
+        monkeypatch.setattr(coloring, "partial_coloring", broken)
+        with pytest.raises(NumericalError, match=match):
+            balance(*spencer_instance(4, 0))
+
     def test_negative_seed_rejected(self):
         # numpy's generators would raise a bare ValueError.
         with pytest.raises(InputError, match="seed must be non-negative, got -1"):

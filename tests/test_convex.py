@@ -305,12 +305,53 @@ class TestPolyhedron:
         with pytest.raises(ValueError, match="z must be finite"):
             segment().contains([np.nan, np.nan])
 
+    @pytest.mark.parametrize("num_vars, E, e, lower, upper, match", [
+        (3, [[1.0, 1.0]], [1.0], [0.0] * 3, [1.0] * 3, "E has 2 columns, expected 3"),
+        (2, [[1.0, 1.0]], [1.0, 1.0], [0.0] * 2, [1.0] * 2, "e length"),
+        (2, [[1.0, 1.0]], [[1.0]], [0.0] * 2, [1.0] * 2, "e must be one-dimensional"),
+        (2, [[1.0, 1.0]], [1.0], [0.0] * 3, [1.0] * 2, "bound vectors"),
+        (2, [[1.0, 1.0]], [1.0], [0.0, 2.0], [1.0] * 2, "lower bound exceeds"),
+        (2, [[1.0, np.nan]], [1.0], [0.0] * 2, [1.0] * 2, "E must be finite"),
+        (2, [[1.0, np.inf]], [1.0], [0.0] * 2, [1.0] * 2, "E must be finite"),
+    ])
+    def test_malformed_polyhedron_refused(self, num_vars, E, e, lower, upper, match):
+        with pytest.raises(ValueError, match=match):
+            Polyhedron(num_vars, E, e, lower, upper)
+
+    @pytest.mark.parametrize("z", [[0.5, 0.5, 0.0], [1.5, -0.5], [0.2, 0.2]])
+    def test_contains_false_off_the_shape_bounds_or_equalities(self, z):
+        assert segment().contains([0.5, 0.5])
+        assert not segment().contains(z)
+
 
 class TestLpSolve:
     @pytest.mark.parametrize("c", [[np.nan, 0.0], [np.inf, 0.0]])
     def test_non_finite_objective_refused(self, c):
         with pytest.raises(ValueError, match="objective must be finite"):
             lp_solve(c, segment())
+
+    def test_singular_basis_raises(self, monkeypatch):
+        class Singular(convex._Simplex):
+            def _refactor(self):
+                self.E_full[:, self.basis[0]] = 0.0  # a zero column in B
+                super()._refactor()
+
+        monkeypatch.setattr(convex, "_Simplex", Singular)
+        with pytest.raises(NumericalError, match="singular basis"):
+            lp_solve([1.0, 0.0], segment())
+
+    def test_infeasible_final_point_raises(self, monkeypatch):
+        # A residual that no refactorization removes fails the check
+        # after phase 2; it is not taken for a drifted tableau.
+        class Off(convex._Simplex):
+            def _residual(self):
+                return super()._residual() + 1.0
+
+        monkeypatch.setattr(convex, "_Simplex", Off)
+        with pytest.raises(NumericalError, match="failed the feasibility check") as err:
+            lp_solve([1.0, 0.0], segment())
+        assert not isinstance(err.value, convex._BoundBreach)
+        assert err.value.residual == 1.0
 
     def test_forced_equality(self):
         P = Polyhedron(1, np.array([[1.0]]), np.array([1.0]),
@@ -655,6 +696,14 @@ class TestProjection:
     def test_non_finite_input_refused(self, g, z0, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             project_polyhedron(g, segment(), z0=np.array(z0))
+
+    def test_g_longer_than_the_variables_refused(self):
+        with pytest.raises(ValueError, match="more entries than"):
+            project_polyhedron(np.zeros(3), segment(), z0=np.array([0.5, 0.5]))
+
+    def test_infeasible_start_refused(self):
+        with pytest.raises(ValueError, match="starting point is not feasible"):
+            project_polyhedron(np.zeros(2), segment(), z0=np.array([1.0, 1.0]))
 
     def test_point_already_inside(self):
         P, z = random_polyhedron(np.random.default_rng(2), n=6)

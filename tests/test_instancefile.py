@@ -50,6 +50,20 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="line 1"):
             parse_instance("a b c\n")
 
+    @pytest.mark.parametrize("header, match", [
+        ("2 2", "header must be three integers: d m n"),
+        ("2 2 1 1", "header must be three integers: d m n"),
+        ("0 1 1", "header entries must be positive"),
+        ("1 1 -1", "header entries must be positive"),
+    ])
+    def test_header_shape_and_sign(self, header, match):
+        with pytest.raises(ParseError, match=f"line 2: {match}"):
+            parse_instance(f"# comment\n{header}\n1.0\n0.5\n")
+
+    def test_short_preimage_block_names_the_sentinel_line(self):
+        with pytest.raises(ParseError, match="line 5: expected 2 preimage rows after 'U'"):
+            parse_instance("1 1 2\n1.0\n0.5\n0.25\nU\n0.5\n")
+
     def test_missing_generator_rows_names_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_instance("2 3 1\n1.0 0.0\n0.0 1.0\n")

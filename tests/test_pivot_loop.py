@@ -154,7 +154,7 @@ def width_lps():
             Z = Zonotope(inst.A)
             LP = lewis_position(Z)
             lps += captured_lps(lambda: width_estimate(LP, 4, rng))
-            lps += captured_lps(lambda: polar_identity_check(Z, VectorFamily(inst.V), None, 2, rng))
+            lps += captured_lps(lambda: polar_identity_check(Z, VectorFamily(inst.V), 2, rng))
     # A direct section of a random tall matrix as well.
     R = rng.standard_normal((24, 6))
     lps.append((_l1_ball_lp(R), np.concatenate([rng.standard_normal(6), np.zeros(49)])))
