@@ -3,21 +3,17 @@
 Given generators A (the zonotope is the image of the sign cube under
 A^T) and vectors v_1..v_n drawn from that body, `balance` computes signs
 x in {-1, +1}^n whose signed sum stays within a sqrt(n log2(2d/n))
-multiple of the body, via iterated partial coloring.  Supporting pieces:
-zonotope gauges, the Lewis position of the polar body, exhaustive and
-sampling-based verification oracles, plus a plain-text instance format
-and a CLI.
+multiple of the body, via iterated partial coloring.  The package
+exports that driver and what its users call around it: zonotope gauges,
+the Lewis position of the polar body, the exhaustive and sampling-based
+verification oracles, and the plain-text instance format.  The solvers
+(`zonobalance.convex`), the partial-coloring round
+(`zonobalance.coloring`) and the Lewis sandwich checks
+(`zonobalance.lewis`) import from their modules, and `zonobalance.cli`
+writes all text output.
 """
 
-from .coloring import (
-    BalanceReport,
-    PartialColoringStep,
-    RoundRecord,
-    balance,
-    partial_coloring,
-    round_scale,
-)
-from .convex import LpSolution, Polyhedron, lp_solve, project_polyhedron
+from .coloring import BalanceReport, RoundRecord, balance
 from .errors import (
     InputError,
     MembershipError,
@@ -27,17 +23,10 @@ from .errors import (
     ZonobalanceError,
 )
 from .instancefile import InstanceFile, generate_instance, parse_instance, serialize_instance
-from .lewis import (
-    InclusionReport,
-    LewisPosition,
-    check_inclusions,
-    k1_norm,
-    lewis_position,
-)
+from .lewis import LewisPosition, lewis_position
 from .verify import (
     OracleResult,
     WidthEstimate,
-    bound_report,
     brute_force_min_discrepancy,
     polar_identity_check,
     width_estimate,
@@ -55,14 +44,12 @@ from .zonotope import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceReport", "BasisChange", "InclusionReport", "InputError", "InstanceFile",
-    "LewisPosition", "LpSolution", "MembershipError", "NumericalError",
-    "OracleResult", "ParseError", "PartialColoringStep", "Polyhedron",
-    "RoundRecord", "SpanError", "VectorFamily", "WidthEstimate", "Zonotope",
-    "ZonobalanceError", "balance", "bound_report",
-    "brute_force_min_discrepancy", "check_inclusions",
-    "generate_instance", "k1_norm", "lewis_position", "lp_solve",
-    "parse_instance", "partial_coloring", "polar_identity_check", "polar_norm",
-    "preprocess", "project_polyhedron", "reduce_generators",
-    "round_scale", "serialize_instance", "width_estimate", "zonotope_norm",
+    "BalanceReport", "BasisChange", "InputError", "InstanceFile",
+    "LewisPosition", "MembershipError", "NumericalError", "OracleResult",
+    "ParseError", "RoundRecord", "SpanError", "VectorFamily",
+    "WidthEstimate", "Zonotope", "ZonobalanceError", "balance",
+    "brute_force_min_discrepancy", "generate_instance", "lewis_position",
+    "parse_instance", "polar_identity_check", "polar_norm", "preprocess",
+    "reduce_generators", "serialize_instance", "width_estimate",
+    "zonotope_norm",
 ]

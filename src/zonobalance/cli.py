@@ -159,6 +159,13 @@ def _check_oracle_cap(n: int, flag: str):
         raise InputError(f"{flag} asks the oracle for n = {n}, above its cap of {verify.ORACLE_CAP}")
 
 
+def _text(value) -> str:
+    """A value as the text output writes it; an array as its entries."""
+    if isinstance(value, np.ndarray):
+        return " ".join(map(str, value.tolist()))
+    return verify._fmt(value)
+
+
 def _cmd_balance(args) -> str:
     Z, V = _preprocessed(args.instance, args.rescale)
     if args.oracle:
@@ -170,10 +177,14 @@ def _cmd_balance(args) -> str:
     if args.format == "csv":
         return verify.csv_header() + "\n" + verify.csv_row(
             kind, report, None if oracle is None else oracle.opt)
-    # seed and c0 appear in the report body already
+    fields = ("n", "d", "m", "seed", "c0", "signs", "discrepancy", "bound", "ratio",
+              "rounds", "c_final")
     lines = [f"instance: {kind}", f"retries: {coloring.RETRIES}",
              f"rescale: {args.rescale}", f"exact_finish: {args.exact_finish}",
-             verify.bound_report(report, oracle)]
+             *(f"{name}: {_text(getattr(report, name))}" for name in fields)]
+    if oracle is not None:
+        ratio = report.discrepancy / oracle.opt if oracle.opt > 1e-12 else "NA"
+        lines += [f"opt: {_text(oracle.opt)}", f"discrepancy/opt: {_text(ratio)}"]
     for r in report.log:
         lines.append(
             f"round {r.index}: n_active={r.n_active} tight={r.tight_gained} "
@@ -192,7 +203,7 @@ def _cmd_norm(args) -> str:
     if x.shape[0] != change.Q.shape[0]:
         raise InputError(
             f"--x has dimension {x.shape[0]}, instance has {change.Q.shape[0]}")
-    R, s = change.rows_to_reduced(x[None, :])
+    R, s = change.rows_to_reduced(x[None, :], Z)
     try:
         return repr(math.ldexp(zonotope_norm(Z, R[0]), int(s[0])))
     except OverflowError:
@@ -202,7 +213,7 @@ def _cmd_norm(args) -> str:
 def _cmd_lewis(args) -> str:
     LP = _lewis_position(args.instance)
     return "\n".join([
-        "weights: " + " ".join(repr(float(w)) for w in LP.w),
+        f"weights: {_text(LP.w)}",
         f"sum_weights: {float(LP.w.sum())!r}",
         f"residual: {LP.residual!r}",
         f"iterations: {LP.iterations}",
@@ -213,7 +224,7 @@ def _cmd_oracle(args) -> str:
     res = verify.brute_force_min_discrepancy(*_preprocessed(args.instance, args.rescale))
     return "\n".join([
         f"opt: {res.opt!r}",
-        "signs: " + " ".join(str(int(s)) for s in res.best_signs),
+        f"signs: {_text(res.best_signs)}",
         f"evaluations: {res.evaluations}",
     ])
 

@@ -160,13 +160,15 @@ def partial_coloring(Z: Zonotope, V: VectorFamily, y, c0: float = DEFAULT_C0,
 
 
 class RoundRecord(NamedTuple):
+    """A round's index and active count, then its step's fields after y_new."""
+
     index: int
     n_active: int
+    increment: float
     scale_used: float
     c_used: float
     attempts: int
     tight_gained: int
-    increment: float
 
 
 class BalanceReport(NamedTuple):
@@ -225,11 +227,7 @@ def balance(Z: Zonotope, V: VectorFamily, c0: float = DEFAULT_C0,
         active = active[np.abs(step.y_new) < 1.0]
         if active.size > k - (k + 1) // 2:
             raise NumericalError("partial coloring fixed fewer than half the coordinates")
-        log.append(RoundRecord(index=len(log), n_active=k,
-                               scale_used=step.scale_used, c_used=step.c_used,
-                               attempts=step.attempts,
-                               tight_gained=step.tight_gained,
-                               increment=step.increment))
+        log.append(RoundRecord(len(log), k, *step[1:]))
         c_final = max(c_final, step.c_used)
 
     return BalanceReport(

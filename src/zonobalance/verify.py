@@ -1,5 +1,6 @@
 """Independent oracles and empirical probes: exhaustive sign search,
-the polar-identity cross-check, and Monte-Carlo width estimates."""
+the polar-identity cross-check, and Monte-Carlo width estimates; and the
+benchmark's CSV row, whose float rule `_fmt` the CLI's text shares."""
 
 from __future__ import annotations
 
@@ -156,26 +157,3 @@ def csv_row(kind: str, report: BalanceReport, opt: float | None = None) -> str:
              "" if opt is None else opt]
     return ",".join(_csv_cell(c) for c in cells)
 
-
-def bound_report(report: BalanceReport, oracle: OracleResult | None = None) -> str:
-    """Human-readable summary of a balancing run."""
-    lines = [
-        f"n: {report.n}",
-        f"d: {report.d}",
-        f"m: {report.m}",
-        f"seed: {report.seed}",
-        f"c0: {_fmt(report.c0)}",
-        f"signs: {' '.join(str(int(s)) for s in report.signs)}",
-        f"discrepancy: {_fmt(report.discrepancy)}",
-        f"bound: {_fmt(report.bound)}",
-        f"ratio: {_fmt(report.ratio)}",
-        f"rounds: {report.rounds}",
-        f"c_final: {_fmt(report.c_final)}",
-    ]
-    if oracle is not None:
-        lines.append(f"opt: {_fmt(oracle.opt)}")
-        if oracle.opt > 1e-12:
-            lines.append(f"discrepancy/opt: {_fmt(report.discrepancy / oracle.opt)}")
-        else:
-            lines.append("discrepancy/opt: NA")
-    return "\n".join(lines)

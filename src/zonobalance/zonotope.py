@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convex import TOL_FEAS, Polyhedron, lp_solve
+from .convex import TOL_FEAS, Polyhedron, _truncated_svd, lp_solve
 from .errors import InputError, MembershipError, NumericalError, SpanError
 
 TOL_SPAN = 1e-8
@@ -150,7 +150,7 @@ def zonotope_norm(Z: Zonotope, x) -> float:
         c = np.zeros(m + 1)
         c[m] = 1.0
         sol = lp_solve(-c, P)  # max lambda
-        if sol.status != "optimal" or -sol.objective <= 1e-14:
+        if not sol.is_optimal or -sol.objective <= 1e-14:
             raise NumericalError(f"gauge LP ended {sol.status} with lambda {-sol.objective:.3e}")
         value = 1.0 / -sol.objective
     try:
@@ -176,10 +176,12 @@ class BasisChange(NamedTuple):
     Q: np.ndarray  # (original d, reduced d), orthonormal columns
     dropped_generators: tuple[int, ...]
 
-    def rows_to_reduced(self, X) -> tuple[np.ndarray, np.ndarray]:
+    def rows_to_reduced(self, X, body: Zonotope) -> tuple[np.ndarray, np.ndarray]:
         """(R, s) with X Q = R * 2^s row by row, s the power of two that
         puts the row's largest entry in [1, 2): R is X Q computed on X
-        scaled by 2^-s, so it never leaves the float range.  Raises
+        scaled by 2^-s, so it never leaves the float range.  R is then
+        taken to the power of two of the reduced `body` when that is
+        below 1, so that R's gauges on it stay in the float range.  Raises
         InputError naming the first row with a NaN or infinite entry, and
         SpanError the first row x off the span by over TOL_SPAN * (1 + |x|),
         a rule run on the same scaled rows, and the threshold with them,
@@ -200,7 +202,8 @@ class BasisChange(NamedTuple):
             i = int(outside[0])
             raise SpanError(f"vector {i} lies outside the span of the generators "
                             f"(residual {resid[i] / norm[i]:.3e} of its norm)")
-        return R, s
+        e = min(body._exp, 0)
+        return np.ldexp(R, e), s - e
 
 
 def reduce_generators(A_raw) -> tuple[Zonotope, BasisChange]:
@@ -221,11 +224,8 @@ def reduce_generators(A_raw) -> tuple[Zonotope, BasisChange]:
         raise InputError("all generators are zero")
 
     d0 = A.shape[1]
-    _, svals, vt = np.linalg.svd(A, full_matrices=False)
-    rank_tol = max(A.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    r = int(np.sum(svals > rank_tol))
-    if r < d0:
-        Q = vt[:r].T  # orthonormal basis of the generator span
+    Q = _truncated_svd(A)[2].T  # orthonormal basis of the generator span
+    if Q.shape[1] < d0:
         A = A @ Q
     else:
         Q = np.eye(d0)
@@ -259,7 +259,7 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
         U = np.delete(U, change.dropped_generators, axis=1)
     R, s = V, np.zeros(V.shape[0], dtype=int)  # row i of V is R[i] * 2^s[i]
     if Z.d < V.shape[1]:
-        R, s = change.rows_to_reduced(V)
+        R, s = change.rows_to_reduced(V, Z)
         with np.errstate(over="ignore"):  # a row past the float range reads inf
             V = np.ldexp(R, s[:, None])
 
@@ -270,7 +270,10 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
             if resid <= 1e-8 * np.abs(R[i]).max():
                 continue
         value_r = zonotope_norm(Z, R[i])
-        value = value_r * 2.0 ** int(s[i])  # the gauge of V[i]; inf past the float range
+        try:
+            value = math.ldexp(value_r, int(s[i]))  # the gauge of V[i]
+        except OverflowError:
+            value = math.inf
         if value <= 1.0 + TOL_FEAS:
             continue
         if not rescale:

@@ -20,7 +20,7 @@ from zonobalance.verify import (
     polar_identity_check,
     width_estimate,
 )
-from zonobalance.zonotope import Zonotope, preprocess, zonotope_norm
+from zonobalance.zonotope import VectorFamily, Zonotope, preprocess, zonotope_norm
 
 KINDS = ["cube", "spencer-random", "random-zonotope"]
 D_LIST = [8, 16, 32, 64]
@@ -205,3 +205,49 @@ def test_criterion_9_determinism(suite):
             reruns += 1
     assert reruns == len(KINDS) * len(D_LIST)
     _report(9, f"{reruns} suite runs repeated byte-identically")
+
+
+def _sylvester_hadamard(d: int) -> np.ndarray:
+    H = np.ones((1, 1))
+    while H.shape[0] < d:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+def test_criterion_10_random_signs_baseline(suite):
+    # Printed only: which of the two wins is not asserted.  The baseline
+    # is the median gauge of 9 uniform sign vectors per spec, over the
+    # same bound as the algorithm's ratio.
+    table = {}
+    for run in suite["runs"]:
+        spec, rep, Z, V = run["spec"], run["report"], run["Z"], run["V"]
+        signs = np.random.default_rng(spec.balance_seed + 99).choice((-1.0, 1.0), (9, V.n))
+        baseline = np.median([zonotope_norm(Z, V.V.T @ x) for x in signs]) / rep.bound
+        table.setdefault((spec.kind, spec.d), []).append((rep.ratio, baseline))
+    lines = []
+    for (kind, d), pairs in table.items():
+        alg, rnd = np.array(pairs).T
+        assert np.all(np.isfinite(pairs))
+        lines.append(f"{kind} d={d}: algorithm {np.median(alg):.3f} ({alg.max():.3f}), "
+                     f"random {np.median(rnd):.3f} ({rnd.max():.3f})")
+    # Hadamard family: the identity body and the n = d columns of the
+    # Sylvester-Hadamard matrix.  |H x|_2^2 = d n for every sign vector x,
+    # so OPT >= sqrt(n) and discrepancy / sqrt(n) bounds discrepancy / OPT.
+    for d in (16, 64):
+        H = _sylvester_hadamard(d)
+        Z, V = Zonotope(np.eye(d)), VectorFamily(H.T)
+        alg, rnd = [], []
+        for seed in range(6):
+            rep = balance(Z, V, seed=seed)
+            signs = np.random.default_rng(seed + 99).choice((-1.0, 1.0), (9, d))
+            for x in (*signs, rep.signs):
+                assert float(np.sum((H @ x) ** 2)) == d * d
+            alg.append(rep.discrepancy / math.sqrt(d))
+            rnd.append(np.median([zonotope_norm(Z, H @ x) for x in signs]) / math.sqrt(d))
+        assert np.all(np.isfinite(alg + rnd))
+        lines.append(f"hadamard d={d}, discrepancy/sqrt(n) >= discrepancy/OPT: algorithm "
+                     f"{np.median(alg):.3f} ({max(alg):.3f}), "
+                     f"random {np.median(rnd):.3f} ({max(rnd):.3f})")
+    _report(10, "median (max) ratio of the algorithm and of random signs, not compared")
+    for line in lines:
+        print(f"ACCEPTANCE 10:   {line}")

@@ -103,6 +103,14 @@ class TestPipeline:
         assert len(header) == len(row) == 12
         assert row[0] == str(path)
 
+    def test_text_report_na_on_zero_opt(self, capsys, monkeypatch):
+        # The two vectors cancel, so the oracle's optimum is 0.
+        monkeypatch.setattr("sys.stdin", io.StringIO("2 2 2\n1 0\n0 1\n0.5 0.1\n0.5 0.1\n"))
+        code, out, err = run_cli(capsys, "balance", "-", "--oracle")
+        assert code == 0, err
+        assert "\nopt: 0.0\n" in out
+        assert "\ndiscrepancy/opt: NA\n" in out
+
     def test_balance_with_oracle_column(self, capsys, cube4):
         code, out, _ = run_cli(capsys, "balance", cube4, "--seed", "5",
                                "--oracle", "--format", "csv")
@@ -248,7 +256,7 @@ class TestExitCodes:
     def test_l1_ball_lp_failure_exits_two(self, capsys, monkeypatch, spencer6):
         # The l1-ball LPs are feasible and bounded, so only a solver failure
         # reports them unbounded.
-        unbounded = zonobalance.LpSolution("unbounded", None, math.nan, 0)
+        unbounded = zonobalance.convex.LpSolution("unbounded", None, math.nan, 0)
         monkeypatch.setattr(verify, "lp_solve", lambda c, P: unbounded)
         for argv in (("width", spencer6, "--samples", "5"), ("check", spencer6, "--trials", "3")):
             code, out, err = run_cli(capsys, *argv)

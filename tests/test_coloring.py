@@ -307,6 +307,10 @@ class TestBalance:
             assert r.scale_used == pytest.approx(
                 round_scale(r.n_active, Z.d, r.c_used), rel=1e-12)
 
+    def test_round_record_is_its_step_after_y_new(self):
+        assert coloring.RoundRecord._fields == (
+            ("index", "n_active") + coloring.PartialColoringStep._fields[1:])
+
     def test_seeded_determinism(self):
         Z, V = spencer_instance(12, seed=4)
         a = balance(Z, V, seed=77)

@@ -37,3 +37,32 @@ def test_console_script_resolves_to_a_callable():
     assert scripts == {"zonobalance": "zonobalance.cli:main"}
     module, _, attr = scripts["zonobalance"].partition(":")
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+PUBLIC = [
+    "BalanceReport", "BasisChange", "InputError", "InstanceFile", "LewisPosition",
+    "MembershipError", "NumericalError", "OracleResult", "ParseError", "RoundRecord",
+    "SpanError", "VectorFamily", "WidthEstimate", "ZonobalanceError", "Zonotope",
+    "balance", "brute_force_min_discrepancy", "generate_instance", "lewis_position",
+    "parse_instance", "polar_identity_check", "polar_norm", "preprocess",
+    "reduce_generators", "serialize_instance", "width_estimate", "zonotope_norm",
+]
+
+# Names that import from their modules only: the solvers, the round
+# primitive and the Lewis sandwich checks.
+MODULE_ONLY = {
+    "convex": ["LpSolution", "Polyhedron", "lp_solve", "project_polyhedron"],
+    "coloring": ["PartialColoringStep", "partial_coloring", "round_scale"],
+    "lewis": ["InclusionReport", "check_inclusions", "k1_norm"],
+}
+
+
+def test_public_surface():
+    assert sorted(zonobalance.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(zonobalance, name), name
+    for module, names in MODULE_ONLY.items():
+        for name in names:
+            assert not hasattr(zonobalance, name), name
+            assert hasattr(importlib.import_module(f"zonobalance.{module}"), name), name
+    assert not hasattr(zonobalance, "bound_report")

@@ -11,7 +11,6 @@ from zonobalance.instancefile import generate_instance
 from zonobalance.lewis import lewis_position
 from zonobalance.seeding import run_seed
 from zonobalance.verify import (
-    bound_report,
     brute_force_min_discrepancy,
     csv_header,
     csv_row,
@@ -248,15 +247,6 @@ class TestReports:
     def test_csv_schema(self):
         assert csv_header() == ("kind,d,m,n,seed,c0,discrepancy,bound,ratio,"
                                 "rounds,c_final,opt")
-
-    def test_text_report_na_on_zero_opt(self):
-        Z = Zonotope(np.eye(2))
-        V = VectorFamily(np.array([[0.5, 0.1], [0.5, 0.1]]))
-        rep = balance(Z, V, seed=0)
-        res = brute_force_min_discrepancy(Z, V)
-        text = bound_report(rep, res)
-        assert "opt: 0.0" in text
-        assert "discrepancy/opt: NA" in text
 
     def test_csv_row_roundtrip_floats(self):
         Z, V = random_zonotope_instance(4, 8, 4, seed=11)

@@ -378,7 +378,7 @@ class TestPreprocess:
         assert change.Q.shape == (3, 2)
         # independent check: norms before reduction == norms after,
         # using a fresh tall zonotope on the raw matrix for "before"
-        R, s = change.rows_to_reduced(plane_points)
+        R, s = change.rows_to_reduced(plane_points, Z)
         X_red = np.ldexp(R, s[:, None])
         assert np.array_equal(X_red, plane_points @ change.Q)
         for x, x_red in zip(plane_points, X_red):
@@ -404,7 +404,7 @@ class TestPreprocess:
         rng = np.random.default_rng(9)
         normal = np.array([0.0, 0.0, 1.0])
         A = rng.standard_normal((4, 2)) @ np.eye(2, 3)  # spans the first two axes
-        _, change = reduce_generators(A)
+        Z, change = reduce_generators(A)
         outcomes = set()
         for _ in range(200):
             V = rng.standard_normal((4, 3)) * [1.0, 1.0, 0.0]
@@ -412,21 +412,21 @@ class TestPreprocess:
             expected = first_outside(V, change.Q)
             outcomes.add(expected)
             if expected is None:
-                R, s = change.rows_to_reduced(V)
+                R, s = change.rows_to_reduced(V, Z)
                 assert np.array_equal(np.ldexp(R, s[:, None]), V @ change.Q)
             else:
                 with pytest.raises(SpanError, match=f"vector {expected} "):
-                    change.rows_to_reduced(V)
+                    change.rows_to_reduced(V, Z)
         assert None in outcomes and len(outcomes) > 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected_before_span_test(self, bad):
         # A NaN residual compares false against the tolerance, so the
         # span test alone would map [nan, 0, 5] into the plane.
-        _, change = reduce_generators([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        Z, change = reduce_generators([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         X = np.array([[1.0, 0.0, 0.0], [bad, 0.0, 5.0]])
         with pytest.raises(InputError, match="vector 1 contains NaN or infinity") as exc:
-            change.rows_to_reduced(X)
+            change.rows_to_reduced(X, Z)
         assert not isinstance(exc.value, SpanError)
         with pytest.raises(InputError, match="NaN or infinity"):
             preprocess([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], X[1:])
@@ -445,6 +445,21 @@ class TestPreprocess:
             preprocess(np.multiply(A, 0.5), V)
         Z, fam, _ = preprocess(np.multiply(A, 0.5), V, rescale=True)
         assert zonotope_norm(Z, fam.V[0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-310, 8e307])
+    def test_reduced_body_at_either_end_of_the_float_range(self, scale):
+        # Generators (1, +-1, 0) * scale, reduced to their span: x has
+        # gauge 0.5 and y gauge 2 at every scale.  Below 1e-308 a reduced
+        # row's gauge at unit scale passed the float range.
+        A = np.multiply([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], scale)
+        x, y = np.multiply([1.0, 0.0, 0.0], scale), np.multiply([2.0, 2.0, 0.0], scale)
+        Z, fam, change = preprocess(A, [x])
+        R, s = change.rows_to_reduced([x], Z)
+        assert np.ldexp(zonotope_norm(Z, R[0]), s[0]) == pytest.approx(0.5, rel=1e-3)
+        with pytest.raises(MembershipError, match="norm 2"):
+            preprocess(A, [x, y])
+        Z, fam, _ = preprocess(A, [x, y], rescale=True)
+        assert zonotope_norm(Z, fam.V[1]) == pytest.approx(1.0, rel=1e-3)
 
     def test_vector_outside_body_rejected_with_index(self):
         with pytest.raises(MembershipError) as exc:
