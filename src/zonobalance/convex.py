@@ -7,8 +7,11 @@ bounded-variable primal simplex (Dantzig pricing that takes eligible free
 columns first, with a Bland's-rule fallback after a fixed pivot budget,
 so every solve is deterministic).  It starts from a lower-triangular
 crash basis, and a row gets an artificial column only when the crash
-leaves it open.  The projection solver is a primal active-set method on
-the same representation.  The free auxiliary columns take one SVD per
+leaves it open.  The projection solver first tries the box projection
+of the point: its targets clipped to their bounds, its free auxiliaries
+completed by the least-norm correction, returned when that lies in the
+polyhedron.  Otherwise a primal active-set method walks on the same
+representation.  The free auxiliary columns take one SVD per
 free auxiliary set, reused by every step that only fixes or frees
 targets; each step then takes a thin SVD of the free target columns
 outside their range, or none when that range is every row.  Problem
@@ -445,8 +448,14 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     len(g) coordinates enter the squared distance.  The full point is
     returned; slice off the target block as needed.
 
-    The walk starts from `z0`, which must lie in P.  A `g` or `z0` with a
-    NaN or infinite entry, or a `z0` outside P, raises ValueError.
+    `z0` must lie in P.  A `g` or `z0` with a NaN or infinite entry, or a
+    `z0` outside P, raises ValueError.  First the box projection is
+    tried: the targets at clip(g, lower, upper), the free auxiliaries
+    moved from `z0` by the least-norm correction K^+ (e - E z) of the
+    free auxiliary columns K.  It is returned when it meets every bound
+    exactly and E z = e to the tolerance of `P.contains`: clip(g) is the
+    projection onto the relaxation with only the target bounds, so a
+    completion in P is optimal.  Otherwise the walk starts from `z0`.
     The costless auxiliaries absorb every target move in their range, so
     no SVD spans all free columns (the Gaussian projection of Rothvoss,
     "Constructive discrepancy minimization for convex sets", FOCS 2014).
@@ -476,15 +485,29 @@ def project_polyhedron(g, P: Polyhedron, *, z0: np.ndarray) -> np.ndarray:
     at_lo = fixed.copy()
     at_up = np.zeros(n, dtype=bool)
 
+    # The free auxiliaries last factored, and their factors: first those
+    # of the walk's first step, which the exit below reuses.
+    free_idx = np.flatnonzero(~fixed)
+    aux_X = free_idx[free_idx >= t]
+    aux = _aux_factors(E, aux_X)
+
+    # The box projection, completed by the least-norm correction of the
+    # free auxiliaries, is optimal when it lies in P (see the docstring).
+    uk, sk, vtk, _ = aux
+    box_point = z.copy()
+    box_point[:t] = np.clip(g, lower[:t], upper[:t])
+    box_point[aux_X] += vtk.T @ ((uk.T @ (P.e - E @ box_point)) / sk)
+    if np.all((lower <= box_point) & (box_point <= upper)) and P.contains(box_point):
+        return box_point
+
     tol_step = 1e-11 * (1.0 + float(np.max(np.abs(z), initial=0.0)))
     tol_mult = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
     zero_steps = 0
-    aux_X = aux = None  # the free auxiliaries last factored, and their factors
 
     for it in range(max_iter):
         free_idx = np.flatnonzero(~(at_lo | at_up))
         X = free_idx[free_idx >= t]
-        if aux is None or not np.array_equal(X, aux_X):
+        if not np.array_equal(X, aux_X):
             aux_X, aux = X, _aux_factors(E, X)
         T = free_idx[free_idx < t]
         move, multipliers = _free_factors(E, T, aux)

@@ -179,29 +179,31 @@ class BasisChange(NamedTuple):
     def rows_to_reduced(self, X, body: Zonotope) -> tuple[np.ndarray, np.ndarray]:
         """(R, s) with X Q = R * 2^s row by row, s the power of two that
         puts the row's largest entry in [1, 2): R is X Q computed on X
-        scaled by 2^-s, so it never leaves the float range.  R is then
-        taken to the power of two of the reduced `body` when that is
-        below 1, so that R's gauges on it stay in the float range.  Raises
-        InputError naming the first row with a NaN or infinite entry, and
-        SpanError the first row x off the span by over TOL_SPAN * (1 + |x|),
-        a rule run on the same scaled rows, and the threshold with them,
-        so no square overflows."""
+        scaled by 2^-s, so it never leaves the float range, or that scaled
+        X itself when Q keeps every coordinate.  R is then taken to the
+        power of two of the reduced `body` when that is below 1, so that
+        R's gauges on it stay in the float range.  Raises InputError
+        naming the first row with a NaN or infinite entry, and SpanError
+        the first row x off the span by over TOL_SPAN * (1 + |x|), a rule
+        run on the same scaled rows, and the threshold with them, so no
+        square overflows."""
         X = np.asarray(X, dtype=float)
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise InputError(f"vector {int(bad[0])} contains NaN or infinity")
         s = np.frexp(np.abs(X).max(axis=1))[1] - 1
-        X_unit = np.ldexp(X, -s[:, None])
-        R = X_unit @ self.Q
-        resid = np.linalg.norm(X_unit - R @ self.Q.T, axis=1)
-        norm = np.linalg.norm(X_unit, axis=1)
-        with np.errstate(over="ignore"):  # inf below 2^-1023: no residual passes
-            one = np.ldexp(1.0, -s)
-        outside = np.flatnonzero(resid > TOL_SPAN * (one + norm))
-        if outside.size:
-            i = int(outside[0])
-            raise SpanError(f"vector {i} lies outside the span of the generators "
-                            f"(residual {resid[i] / norm[i]:.3e} of its norm)")
+        R = X_unit = np.ldexp(X, -s[:, None])
+        if self.Q.shape[1] < self.Q.shape[0]:
+            R = X_unit @ self.Q
+            resid = np.linalg.norm(X_unit - R @ self.Q.T, axis=1)
+            norm = np.linalg.norm(X_unit, axis=1)
+            with np.errstate(over="ignore"):  # inf below 2^-1023: no residual passes
+                one = np.ldexp(1.0, -s)
+            outside = np.flatnonzero(resid > TOL_SPAN * (one + norm))
+            if outside.size:
+                i = int(outside[0])
+                raise SpanError(f"vector {i} lies outside the span of the generators "
+                                f"(residual {resid[i] / norm[i]:.3e} of its norm)")
         e = min(body._exp, 0)
         return np.ldexp(R, e), s - e
 
@@ -257,9 +259,9 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
         if U.shape != (V.shape[0], Z.m + len(change.dropped_generators)):
             raise InputError("U must be n x m")
         U = np.delete(U, change.dropped_generators, axis=1)
-    R, s = V, np.zeros(V.shape[0], dtype=int)  # row i of V is R[i] * 2^s[i]
+    # Row i of V is R[i] * 2^s[i]; a body reduced to its span maps V too.
+    R, s = change.rows_to_reduced(V, Z)
     if Z.d < V.shape[1]:
-        R, s = change.rows_to_reduced(V, Z)
         with np.errstate(over="ignore"):  # a row past the float range reads inf
             V = np.ldexp(R, s[:, None])
 

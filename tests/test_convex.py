@@ -35,6 +35,12 @@ def segment():
     return Polyhedron(2, [[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])
 
 
+def pinned_pair():
+    """{z in [0, 1]^2 : z_2 = 1/4} and g = (1/2, 3/4), whose box projection
+    has no completion: the walk runs, and it moves z_1 alone."""
+    return box([0.0, 0.0], [1.0, 1.0], E=[[0.0, 1.0]], e=[0.25]), np.array([0.5, 0.75])
+
+
 def random_polyhedron(rng, n=None):
     """A random nonempty polyhedron with a known interior-ish point."""
     if n is None:
@@ -173,6 +179,11 @@ def free_sets(calls):
         elif kind == "free":
             sets.append(np.concatenate([idx, X]))
     return sets
+
+
+def walked(calls):
+    """Whether the projection walked: it factored a free target set."""
+    return any(c[0] == "free" for c in calls)
 
 
 def refactored(calls):
@@ -755,8 +766,10 @@ class TestProjection:
         out = project_polyhedron(np.array([5.0]), P, z0=np.zeros(2))
         assert out[0] == pytest.approx(1.0, abs=1e-9)
 
-    def test_against_slsqp_on_lifts(self):
+    def test_against_slsqp_on_lifts(self, monkeypatch):
         # Small partial-coloring lifts: target block a, auxiliaries u.
+        calls = spy_factorizations(monkeypatch)
+        walks = 0
         rng = np.random.default_rng(11)
         for _ in range(40):
             d = int(rng.integers(2, 5))
@@ -767,10 +780,14 @@ class TestProjection:
             y = rng.uniform(-0.9, 0.9, k)
             P = _lift(Zonotope(A), V_S, -1.0 - y, 1.0 - y, float(rng.uniform(0.3, 2.0)))
             g = 2.0 * rng.standard_normal(k)
+            calls.clear()
             z = project_polyhedron(g, P, z0=np.zeros(k + m))
+            walks += walked(calls)
             assert P.contains(z)
             ref = slsqp_projection(g, P, np.zeros(k + m))
             assert np.max(np.abs(z[:k] - ref[:k])) <= 1e-6
+        # Both the exit and the walk occur.
+        assert 0 < walks < 40
 
     def test_against_slsqp_on_random_polyhedra(self):
         rng = np.random.default_rng(12)
@@ -822,27 +839,40 @@ class TestProjection:
         assert no_M > 0
 
     def test_matches_the_null_space_reference(self, monkeypatch):
-        # The same free sets in the same order as one full SVD of all
-        # free columns per iteration, and the same point to 1e-12.  K is
-        # factored afresh exactly at the steps whose free auxiliaries
-        # changed: steps fix auxiliaries on random polyhedra and on the
-        # spencer lifts at small s, and releases free them on the latter.
+        # Where the box projection of g has a completion in P, the exit
+        # returns it after one factorization of K, with the reference
+        # walk's target block to 1e-12, and its whole point when K is
+        # square.  Elsewhere the walk takes the same free sets in the same
+        # order as one full SVD of all free columns per iteration, and
+        # the same point to 1e-12.  K is factored afresh exactly at the
+        # steps whose free auxiliaries changed: steps fix auxiliaries on
+        # random polyhedra and on the spencer lifts at small s, and
+        # releases free them on the latter.
         calls = spy_factorizations(monkeypatch)
-        fixed = freed = 0
+        fixed = freed = exits = 0
         for g, P, z0 in projection_cases():
             calls.clear()
             z = project_polyhedron(g, P, z0=z0)
             z_ref, ref_sets = null_space_projection(g, P, z0)
+            t = g.shape[0]
+            scale = max(1.0, np.max(np.abs(z_ref)))
+            if not walked(calls):
+                exits += 1
+                assert [c[0] for c in calls].count("aux") == 1
+                square = P.num_vars - t == P.num_eq
+                block = slice(None) if square else slice(t)
+                assert np.max(np.abs(z[block] - z_ref[block])) <= 1e-12 * scale
+                continue
             sets = free_sets(calls)
             assert len(sets) == len(ref_sets)
             assert all(np.array_equal(a, b) for a, b in zip(sets, ref_sets))
-            aux = [idx[idx >= g.shape[0]] for idx in ref_sets]
+            aux = [idx[idx >= t] for idx in ref_sets]
             assert refactored(calls) == [i == 0 or not np.array_equal(a, aux[i - 1])
                                          for i, a in enumerate(aux)]
             fixed += sum(b.size < a.size for a, b in zip(aux, aux[1:]))
             freed += sum(b.size > a.size for a, b in zip(aux, aux[1:]))
-            assert np.max(np.abs(z - z_ref)) <= 1e-12 * max(1.0, np.max(np.abs(z_ref)))
-        assert fixed and freed
+            assert np.max(np.abs(z - z_ref)) <= 1e-12 * scale
+        assert fixed and freed and exits
 
     def test_multipliers_on_an_empty_free_set(self, monkeypatch):
         # From 0 the step along (1, -1) hits both bounds at once, so the
@@ -858,7 +888,7 @@ class TestProjection:
         assert np.max(np.abs(z - slsqp_projection(g, P, np.zeros(2)))) <= 1e-6
 
     def test_stall_on_degenerate_bounds_raises(self, monkeypatch):
-        # A reversed move from the upper bound of [0, 1] steps zero and
+        # A reversed move from the upper bound of z_1 steps zero and
         # blocks there, and the multiplier check releases that bound
         # again: zero steps pile up past n + 10.
         factor = convex._free_factors
@@ -867,13 +897,13 @@ class TestProjection:
             move, multipliers = factor(E, T, aux)
             return (lambda rho: -move(rho)), multipliers
         monkeypatch.setattr(convex, "_free_factors", reversed_move)
-        P = box([0.0], [1.0])
+        P, g = pinned_pair()
         with pytest.raises(NumericalError, match="stalled on degenerate bounds") as err:
-            project_polyhedron(np.array([0.5]), P, z0=np.array([1.0]))
+            project_polyhedron(g, P, z0=np.array([1.0, 0.25]))
         assert err.value.residual == 0.5
 
     def test_iteration_budget_exhausted_raises(self, monkeypatch):
-        # A doubled move overshoots g = 0.5 from one bound of [0, 1] to
+        # A doubled move overshoots z_1 = 0.5 from one bound of [0, 1] to
         # the other, each release sends it back, and the walk never ends.
         factor = convex._free_factors
 
@@ -881,7 +911,18 @@ class TestProjection:
             move, multipliers = factor(E, T, aux)
             return (lambda rho: 2.0 * move(rho)), multipliers
         monkeypatch.setattr(convex, "_free_factors", doubled_move)
-        P = box([0.0], [1.0])
+        P, g = pinned_pair()
         with pytest.raises(NumericalError, match="did not converge within") as err:
-            project_polyhedron(np.array([0.5]), P, z0=np.array([0.0]))
+            project_polyhedron(g, P, z0=np.array([0.0, 0.25]))
         assert err.value.residual == 0.5
+
+    def test_completion_inside_the_containment_slack_is_not_returned(self, monkeypatch):
+        # The box projection a = 0.5 + 5e-8 completes to u = a, past u's
+        # upper bound 0.5 by less than the 1e-7 slack of `contains`: the
+        # walk runs and returns a point within every bound exactly.
+        P = Polyhedron(2, [[1.0, -1.0]], [0.0], [-1.0, -0.5], [1.0, 0.5])
+        calls = spy_factorizations(monkeypatch)
+        z = project_polyhedron(np.array([0.5 + 5e-8]), P, z0=np.zeros(2))
+        assert walked(calls)
+        assert np.all((P.lower <= z) & (z <= P.upper))
+        assert np.max(np.abs(z - 0.5)) <= 1e-12

@@ -446,6 +446,17 @@ class TestPreprocess:
         Z, fam, _ = preprocess(np.multiply(A, 0.5), V, rescale=True)
         assert zonotope_norm(Z, fam.V[0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_full_rank_body_gauge_past_the_float_range(self):
+        # As on a body reduced to its span, a vector whose gauge passes
+        # the float range is refused as outside the body or rescaled to
+        # its boundary, not lost to an overflowing gauge.
+        A, V = [[1e-200, 0.0], [0.0, 1e-200]], [[1e200, 0.0]]
+        with pytest.raises(MembershipError, match="norm inf > 1"):
+            preprocess(A, V)
+        Z, fam, _ = preprocess(A, V, rescale=True)
+        assert fam.V[0] == pytest.approx([1e-200, 0.0], rel=1e-12)
+        assert zonotope_norm(Z, fam.V[0]) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("scale", [1e-320, 1e-310, 8e307])
     def test_reduced_body_at_either_end_of_the_float_range(self, scale):
         # Generators (1, +-1, 0) * scale, reduced to their span: x has
