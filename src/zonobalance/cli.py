@@ -166,6 +166,11 @@ def _text(value) -> str:
     return verify._fmt(value)
 
 
+def _lines(pairs) -> str:
+    """One `name: value` line per (name, value) pair, the value as `_text` writes it."""
+    return "\n".join(f"{name}: {_text(value)}" for name, value in pairs)
+
+
 def _cmd_balance(args) -> str:
     Z, V = _preprocessed(args.instance, args.rescale)
     if args.oracle:
@@ -179,18 +184,16 @@ def _cmd_balance(args) -> str:
             kind, report, None if oracle is None else oracle.opt)
     fields = ("n", "d", "m", "seed", "c0", "signs", "discrepancy", "bound", "ratio",
               "rounds", "c_final")
-    lines = [f"instance: {kind}", f"retries: {coloring.RETRIES}",
-             f"rescale: {args.rescale}", f"exact_finish: {args.exact_finish}",
-             *(f"{name}: {_text(getattr(report, name))}" for name in fields)]
+    pairs = [("instance", kind), ("retries", coloring.RETRIES), ("rescale", args.rescale),
+             ("exact_finish", args.exact_finish),
+             *((name, getattr(report, name)) for name in fields)]
     if oracle is not None:
         ratio = report.discrepancy / oracle.opt if oracle.opt > 1e-12 else "NA"
-        lines += [f"opt: {_text(oracle.opt)}", f"discrepancy/opt: {_text(ratio)}"]
-    for r in report.log:
-        lines.append(
-            f"round {r.index}: n_active={r.n_active} tight={r.tight_gained} "
-            f"increment={r.increment!r} scale={r.scale_used!r} "
-            f"c={r.c_used!r} attempts={r.attempts}")
-    return "\n".join(lines)
+        pairs += [("opt", oracle.opt), ("discrepancy/opt", ratio)]
+    return "\n".join([_lines(pairs), *(
+        f"round {r.index}: n_active={r.n_active} tight={r.tight_gained} "
+        f"increment={r.increment!r} scale={r.scale_used!r} "
+        f"c={r.c_used!r} attempts={r.attempts}" for r in report.log)])
 
 
 def _cmd_norm(args) -> str:
@@ -200,9 +203,6 @@ def _cmd_norm(args) -> str:
     except ValueError:
         raise InputError(f"--x must be a space-separated vector, got {args.x!r}")
     Z, change = reduce_generators(inst.A)
-    if x.shape[0] != change.Q.shape[0]:
-        raise InputError(
-            f"--x has dimension {x.shape[0]}, instance has {change.Q.shape[0]}")
     R, s = change.rows_to_reduced(x[None, :], Z)
     try:
         return repr(math.ldexp(zonotope_norm(Z, R[0]), int(s[0])))
@@ -212,34 +212,26 @@ def _cmd_norm(args) -> str:
 
 def _cmd_lewis(args) -> str:
     LP = _lewis_position(args.instance)
-    return "\n".join([
-        f"weights: {_text(LP.w)}",
-        f"sum_weights: {float(LP.w.sum())!r}",
-        f"residual: {LP.residual!r}",
-        f"iterations: {LP.iterations}",
-    ])
+    return _lines([("weights", LP.w), ("sum_weights", LP.w.sum()),
+                   ("residual", LP.residual), ("iterations", LP.iterations)])
 
 
 def _cmd_oracle(args) -> str:
     res = verify.brute_force_min_discrepancy(*_preprocessed(args.instance, args.rescale))
-    return "\n".join([
-        f"opt: {res.opt!r}",
-        f"signs: {_text(res.best_signs)}",
-        f"evaluations: {res.evaluations}",
-    ])
+    return _lines([("opt", res.opt), ("signs", res.best_signs),
+                   ("evaluations", res.evaluations)])
 
 
 def _cmd_check(args) -> str:
     Z, V = _preprocessed(args.instance)
     max_gap = verify.polar_identity_check(Z, V, args.trials, np.random.default_rng(args.seed))
-    return f"trials: {args.trials}\nmax_gap: {max_gap!r}"
+    return _lines([("trials", args.trials), ("max_gap", max_gap)])
 
 
 def _cmd_width(args) -> str:
     est = verify.width_estimate(_lewis_position(args.instance), args.samples,
                                 np.random.default_rng(args.seed))
-    return (f"mean: {est.mean!r}\nstderr: {est.stderr!r}\n"
-            f"samples: {est.samples}\nd: {est.d}")
+    return _lines(zip(est._fields, est))
 
 
 class BenchSpec(NamedTuple):

@@ -38,7 +38,9 @@ import numpy as np
 
 from .errors import NumericalError
 
-# Global tolerance.  Everything downstream derives from it.
+# The simplex's feasibility and reduced-cost tests, the square gauge's
+# residual check and preprocess's membership slack derive from it; every
+# other tolerance (contains, the ratio test, the projection's) is its own.
 TOL_FEAS = 1e-9
 
 _AT_LOWER = 0

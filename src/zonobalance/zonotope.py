@@ -182,12 +182,17 @@ class BasisChange(NamedTuple):
         scaled by 2^-s, so it never leaves the float range, or that scaled
         X itself when Q keeps every coordinate.  R is then taken to the
         power of two of the reduced `body` when that is below 1, so that
-        R's gauges on it stay in the float range.  Raises InputError
-        naming the first row with a NaN or infinite entry, and SpanError
-        the first row x off the span by over TOL_SPAN * (1 + |x|), a rule
-        run on the same scaled rows, and the threshold with them, so no
-        square overflows."""
+        R's gauges on it stay in the float range.  The one gate for
+        ambient vectors, it checks shape, finiteness and span: it raises
+        InputError unless X is a matrix of rows of the original d (Q's
+        rows), InputError naming the first row with a NaN or infinite
+        entry, and SpanError the first row x off the span by over
+        TOL_SPAN * (1 + |x|), a rule run on the same scaled rows, and the
+        threshold with them, so no square overflows."""
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.Q.shape[0]:
+            raise InputError(f"vectors must be rows of dimension {self.Q.shape[0]}, "
+                             f"got an array of shape {X.shape}")
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise InputError(f"vector {int(bad[0])} contains NaN or infinity")
@@ -238,29 +243,28 @@ def preprocess(A_raw, V_raw, U_raw=None, *, rescale: bool = False):
     """Normalize a raw instance into a valid (Zonotope, VectorFamily) pair.
 
     Builds the zonotope with `reduce_generators`, maps the vectors into
-    its span, and certifies that every vector lies in the body: a row of
-    the optional cube preimages U with |u_i| <= 1 and
-    |A^T u_i - v_i| <= 1e-8 |v_i| (max norms, so the verdict does not
-    depend on the instance's scale) certifies v_i without an LP, any
-    other vector is certified by its gauge.  The preimages are not kept.
-    Vectors outside the span are rejected; vectors outside the body are
-    rejected unless `rescale` pulls them back to the boundary.  Any
-    number of vectors is kept.
+    its span through `BasisChange.rows_to_reduced`, the one gate that
+    checks their shape, finiteness and span, and certifies that every
+    vector lies in the body: a row of the optional cube preimages U with
+    |u_i| <= 1 and |A^T u_i - v_i| <= 1e-8 |v_i| (max norms, so the
+    verdict does not depend on the instance's scale) certifies v_i
+    without an LP, any other vector is certified by its gauge.  The
+    preimages are not kept.  Vectors outside the body are rejected
+    unless `rescale` pulls them back to the boundary.  Any number of
+    vectors is kept.
 
     Returns (Zonotope, VectorFamily, BasisChange).
     """
     Z, change = reduce_generators(A_raw)
-    V = np.array(VectorFamily(V_raw).V)  # writable, for the rescale
-    if V.shape[1] != change.Q.shape[0]:
-        raise InputError("A and V must share the ambient dimension")
+    V = np.array(V_raw, dtype=float)  # writable, for the rescale
+    # Row i of V is R[i] * 2^s[i]; a body reduced to its span maps V too.
+    R, s = change.rows_to_reduced(V, Z)
     U = None
     if U_raw is not None:
         U = np.array(U_raw, dtype=float)
         if U.shape != (V.shape[0], Z.m + len(change.dropped_generators)):
             raise InputError("U must be n x m")
         U = np.delete(U, change.dropped_generators, axis=1)
-    # Row i of V is R[i] * 2^s[i]; a body reduced to its span maps V too.
-    R, s = change.rows_to_reduced(V, Z)
     if Z.d < V.shape[1]:
         with np.errstate(over="ignore"):  # a row past the float range reads inf
             V = np.ldexp(R, s[:, None])

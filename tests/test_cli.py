@@ -165,7 +165,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("x, message", [
         ("1 x 0 0", "--x must be a space-separated vector, got '1 x 0 0'"),
         ("1,0,0,0", "--x must be a space-separated vector"),
-        ("1 0 0", "--x has dimension 3, instance has 4"),
+        ("1 0 0", "rows of dimension 4, got an array of shape (1, 3)"),
     ])
     def test_norm_x_unparsed_or_misshaped_exits_one(self, capsys, tall4, x, message):
         code, out, err = run_cli(capsys, "norm", tall4, "--x", x)
@@ -504,6 +504,55 @@ class TestSubcommands:
         assert code == 1
         assert out == ""
         assert "n <= d for cube" in err
+
+
+class TestReportText:
+    """The text of the report commands as a whole: `name: value` lines,
+    today's names in today's order, each value the library's own result
+    for the same instance and seed."""
+
+    @staticmethod
+    def text(value) -> str:
+        if isinstance(value, np.ndarray):
+            return " ".join(str(x) for x in value.tolist())
+        if isinstance(value, float):
+            return repr(float(value))
+        return str(value)
+
+    def test_name_value_lines_match_the_library(self, capsys, tall4):
+        inst = parse_instance(Path(tall4).read_text())
+        Z, V, _ = zonobalance.preprocess(inst.A, inst.V, inst.U)
+        report = zonobalance.balance(Z, V, seed=5)
+        best = zonobalance.brute_force_min_discrepancy(Z, V)
+        assert best.opt > 1e-12
+        LP = zonobalance.lewis_position(zonobalance.reduce_generators(inst.A)[0])
+        gap = zonobalance.polar_identity_check(Z, V, 3, np.random.default_rng(5))
+        est = zonobalance.width_estimate(LP, 3, np.random.default_rng(5))
+        fields = ("n", "d", "m", "seed", "c0", "signs", "discrepancy", "bound", "ratio",
+                  "rounds", "c_final")
+        expected = {
+            ("balance", "--seed", "5", "--oracle"): [
+                ("instance", tall4), ("retries", coloring.RETRIES), ("rescale", False),
+                ("exact_finish", False), *((name, getattr(report, name)) for name in fields),
+                ("opt", best.opt), ("discrepancy/opt", report.discrepancy / best.opt)],
+            ("lewis",): [("weights", LP.w), ("sum_weights", LP.w.sum()),
+                         ("residual", LP.residual), ("iterations", LP.iterations)],
+            ("oracle",): [("opt", best.opt), ("signs", best.best_signs),
+                          ("evaluations", best.evaluations)],
+            ("check", "--seed", "5", "--trials", "3"): [("trials", 3), ("max_gap", gap)],
+            ("width", "--seed", "5", "--samples", "3"): [
+                ("mean", est.mean), ("stderr", est.stderr), ("samples", 3), ("d", est.d)],
+        }
+        for (command, *flags), pairs in expected.items():
+            code, out, err = run_cli(capsys, command, tall4, *flags)
+            assert code == 0, err
+            lines = out.splitlines()
+            assert lines[:len(pairs)] == [f"{name}: {self.text(v)}" for name, v in pairs]
+            # Only balance writes more: its round lines, in their own format.
+            rounds = report.log if command == "balance" else []
+            assert len(lines) == len(pairs) + len(rounds)
+            for line, r in zip(lines[len(pairs):], rounds):
+                assert line.startswith(f"round {r.index}: n_active={r.n_active} ")
 
 
 class TestBench:

@@ -518,11 +518,26 @@ class TestPreprocess:
             reduce_generators(A)
 
     def test_misshaped_vectors_or_preimages_refused(self):
-        with pytest.raises(InputError, match="share the ambient dimension"):
+        with pytest.raises(InputError, match="rows of dimension 2"):
             preprocess(np.eye(2), [[0.1, 0.1, 0.1]])
         for U in ([[0.1, 0.1, 0.0]], [[0.1, 0.1], [0.1, 0.1]]):
             with pytest.raises(InputError, match="U must be n x m"):
                 preprocess(np.eye(2), [[0.1, 0.1]], U)
+
+    @pytest.mark.parametrize("A", [np.eye(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+                             ids=["full-rank", "span-reduced"])
+    @pytest.mark.parametrize("X, shape", [([[0.1, 0.0]], r"\(1, 2\)"),
+                                          ([0.1, 0.0, 0.0], r"\(3,\)")],
+                             ids=["two-wide", "one-dimensional"])
+    def test_misshaped_rows_refused_by_the_one_gate(self, A, X, shape):
+        # Without the shape test a two-wide block maps to a two-wide R on
+        # the identity body, and numpy's own errors end the rest.
+        match = rf"rows of dimension 3, got an array of shape {shape}"
+        Z, change = reduce_generators(A)
+        with pytest.raises(InputError, match=match):
+            change.rows_to_reduced(X, Z)
+        with pytest.raises(InputError, match=match):
+            preprocess(A, X)
 
     def test_n_exceeding_dimension_kept_and_balance_refuses(self):
         # Preprocessing certifies any number of vectors; only the coloring
